@@ -168,7 +168,8 @@ double run_rtl_level_lanes(int banks, int ticks, std::uint64_t seed,
   constexpr int kLanes = 64;
   const core::RtlConfig cfg = rtl_config(banks);
   ovl::OvlBank bank;
-  harness::CsimDeviceModel model(cfg, ovl_instrument(bank, banks));
+  harness::RtlDeviceModel model(cfg, harness::RtlBackend::kCompiled,
+                                ovl_instrument(bank, banks));
   csim::Machine& machine = model.machine();
   const rtl::Module& flat = model.flat();
   const rtl::NetId r_n = flat.find_net("R_n");

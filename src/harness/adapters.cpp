@@ -152,9 +152,10 @@ std::uint64_t BehavioralDeviceModel::memory_word(int bank,
 // --- RtlDeviceModel -----------------------------------------------------
 
 RtlDeviceModel::RtlDeviceModel(
-    const core::RtlConfig& cfg,
+    const core::RtlConfig& cfg, RtlBackend backend,
     const std::function<void(rtl::Module&)>& instrument)
-    : DeviceModel("rtl", rtl_geometry(cfg)),
+    : DeviceModel(backend == RtlBackend::kCompiled ? "csim" : "rtl",
+                  rtl_geometry(cfg)),
       cfg_(cfg),
       flat_(core::build_device(cfg).flatten()) {
   if (cfg.data_bits % 8 != 0) {
@@ -162,6 +163,11 @@ RtlDeviceModel::RtlDeviceModel(
         "RtlDeviceModel: harness co-execution needs byte-multiple beats");
   }
   if (instrument) instrument(flat_);
+  if (backend == RtlBackend::kCompiled) {
+    compiled_ = std::make_unique<csim::Compiled>(
+        csim::compile(flat_, core::clock_schedule(flat_)));
+    machine_ = std::make_unique<csim::Machine>(*compiled_, 64);
+  }
 
   for (int b = 0; b < cfg.banks; ++b) {
     const std::string p = "bank" + std::to_string(b) + ".";
@@ -192,21 +198,25 @@ RtlDeviceModel::RtlDeviceModel(
   for (int b = 0; b < cfg.banks; ++b) {
     const std::string p = "b" + std::to_string(b) + ".";
     const BankNets& n = bank_nets_[static_cast<std::size_t>(b)];
-    taps_[p + "read_start"] = [this, &n] { return net_bit(n.read_start); };
-    taps_[p + "fetch"] = [this, &n] { return net_bit(n.fetch); };
-    taps_[p + "dout_valid_k"] = [this, &n] { return net_bit(n.dout_valid_k); };
+    taps_[p + "read_start"] = [this, &n] { return net_is_one(n.read_start); };
+    taps_[p + "fetch"] = [this, &n] { return net_is_one(n.fetch); };
+    taps_[p + "dout_valid_k"] = [this, &n] {
+      return net_is_one(n.dout_valid_k);
+    };
     taps_[p + "dout_valid_ks"] = [this, &n] {
-      return net_bit(n.dout_valid_ks);
+      return net_is_one(n.dout_valid_ks);
     };
-    taps_[p + "write_start"] = [this, &n] { return net_bit(n.write_start); };
+    taps_[p + "write_start"] = [this, &n] { return net_is_one(n.write_start); };
     taps_[p + "addr_captured"] = [this, &n] {
-      return net_bit(n.addr_captured);
+      return net_is_one(n.addr_captured);
     };
-    taps_[p + "write_commit"] = [this, &n] { return net_bit(n.write_commit); };
+    taps_[p + "write_commit"] = [this, &n] {
+      return net_is_one(n.write_commit);
+    };
   }
   auto any_of = [this](rtl::NetId BankNets::*field) {
     for (const BankNets& n : bank_nets_) {
-      if (net_bit(n.*field)) return true;
+      if (net_is_one(n.*field)) return true;
     }
     return false;
   };
@@ -216,7 +226,8 @@ RtlDeviceModel::RtlDeviceModel(
   };
   taps_["write_commit"] = [any_of] { return any_of(&BankNets::write_commit); };
   taps_["bus_conflict"] = [this] {
-    return sim_->enabled_drivers(dout_net_) >= 2;
+    return machine_ ? machine_->bus_conflict(dout_net_, 0)
+                    : sim_->enabled_drivers(dout_net_) >= 2;
   };
 
   tap_names_ = concat_names(
@@ -225,26 +236,40 @@ RtlDeviceModel::RtlDeviceModel(
   do_reset();
 }
 
-void RtlDeviceModel::do_reset() { sim_ = std::make_unique<rtl::CycleSim>(flat_); }
+void RtlDeviceModel::do_reset() {
+  if (machine_) {
+    machine_->reset();
+  } else {
+    sim_ = std::make_unique<rtl::CycleSim>(flat_);
+  }
+}
 
-bool RtlDeviceModel::net_bit(rtl::NetId net) const {
-  return sim_->get(net).bit(0) == rtl::Logic::k1;
+bool RtlDeviceModel::net_is_one(rtl::NetId net) const {
+  return (machine_ ? machine_->get(net, 0).bit(0) : sim_->get(net).bit(0)) ==
+         rtl::Logic::k1;
 }
 
 bool RtlDeviceModel::any_dout_valid() const {
   for (const BankNets& n : bank_nets_) {
-    if (net_bit(n.dout_valid_k) || net_bit(n.dout_valid_ks)) return true;
+    if (net_is_one(n.dout_valid_k) || net_is_one(n.dout_valid_ks)) return true;
   }
   return false;
 }
 
 void RtlDeviceModel::apply_edge(const EdgePins& pins) {
-  sim_->set_input_bit("R_n", pins.r_sel_n);
-  sim_->set_input_bit("W_n", pins.w_sel_n);
-  sim_->set_input("A", pins.addr);
-  sim_->set_input("D", core::pack_beat(pins.din_data, cfg_.data_bits));
-  sim_->set_input("BWE_n", pins.bwe_n);
-  sim_->edge(pins.edge == Edge::kK ? "K" : "KS", rtl::Edge::kPos);
+  const auto drive = [&](auto& sim) {
+    sim.set_input_bit("R_n", pins.r_sel_n);
+    sim.set_input_bit("W_n", pins.w_sel_n);
+    sim.set_input("A", pins.addr);
+    sim.set_input("D", core::pack_beat(pins.din_data, cfg_.data_bits));
+    sim.set_input("BWE_n", pins.bwe_n);
+    sim.edge(pins.edge == Edge::kK ? "K" : "KS", rtl::Edge::kPos);
+  };
+  if (machine_) {
+    drive(*machine_);
+  } else {
+    drive(*sim_);
+  }
 }
 
 bool RtlDeviceModel::tap(const std::string& name) const {
@@ -259,7 +284,8 @@ DoutSample RtlDeviceModel::dout() const {
   DoutSample s;
   s.valid = any_dout_valid();
   if (s.valid) {
-    const auto beat = sim_->get(dout_net_).to_uint();
+    const auto beat = machine_ ? machine_->get(dout_net_, 0).to_uint()
+                               : sim_->get(dout_net_).to_uint();
     s.defined = beat.has_value();
     s.beat = beat.value_or(0);
   }
@@ -267,136 +293,10 @@ DoutSample RtlDeviceModel::dout() const {
 }
 
 std::uint64_t RtlDeviceModel::memory_word(int bank, std::uint64_t addr) const {
-  const auto word =
-      sim_->mem_word(bank_mems_[static_cast<std::size_t>(bank)], addr).to_uint();
+  const rtl::MemId mem = bank_mems_[static_cast<std::size_t>(bank)];
+  const auto word = machine_ ? machine_->mem_word(mem, addr, 0).to_uint()
+                             : sim_->mem_word(mem, addr).to_uint();
   return word.value_or(~0ull);  // X never equals a defined reference word
-}
-
-// --- CsimDeviceModel ----------------------------------------------------
-
-CsimDeviceModel::CsimDeviceModel(
-    const core::RtlConfig& cfg,
-    const std::function<void(rtl::Module&)>& instrument)
-    : DeviceModel("csim", rtl_geometry(cfg)),
-      cfg_(cfg),
-      flat_(core::build_device(cfg).flatten()) {
-  if (cfg.data_bits % 8 != 0) {
-    throw std::invalid_argument(
-        "CsimDeviceModel: harness co-execution needs byte-multiple beats");
-  }
-  if (instrument) instrument(flat_);
-  compiled_ = std::make_unique<csim::Compiled>(
-      csim::compile(flat_, core::clock_schedule(flat_)));
-  machine_ = std::make_unique<csim::Machine>(*compiled_, 64);
-
-  for (int b = 0; b < cfg.banks; ++b) {
-    const std::string p = "bank" + std::to_string(b) + ".";
-    BankNets n;
-    n.read_start = flat_.find_net(p + "read_start_q");
-    n.fetch = flat_.find_net(p + "fetch_q");
-    n.dout_valid_k = flat_.find_net(p + "dout_valid_k_q");
-    n.dout_valid_ks = flat_.find_net(p + "dout_valid_ks_q");
-    n.write_start = flat_.find_net(p + "write_start_q");
-    n.addr_captured = flat_.find_net(p + "addr_captured_q");
-    n.write_commit = flat_.find_net(p + "write_commit_q");
-    bank_nets_.push_back(n);
-
-    rtl::MemId mem = rtl::kInvalidId;
-    for (std::size_t i = 0; i < flat_.memories().size(); ++i) {
-      if (flat_.memories()[i].name == p + "sram") {
-        mem = static_cast<rtl::MemId>(i);
-        break;
-      }
-    }
-    if (mem == rtl::kInvalidId) {
-      throw std::logic_error("CsimDeviceModel: missing " + p + "sram");
-    }
-    bank_mems_.push_back(mem);
-  }
-  dout_net_ = flat_.find_net("DOUT");
-
-  for (int b = 0; b < cfg.banks; ++b) {
-    const std::string p = "b" + std::to_string(b) + ".";
-    const BankNets& n = bank_nets_[static_cast<std::size_t>(b)];
-    taps_[p + "read_start"] = [this, &n] { return net_bit(n.read_start); };
-    taps_[p + "fetch"] = [this, &n] { return net_bit(n.fetch); };
-    taps_[p + "dout_valid_k"] = [this, &n] { return net_bit(n.dout_valid_k); };
-    taps_[p + "dout_valid_ks"] = [this, &n] {
-      return net_bit(n.dout_valid_ks);
-    };
-    taps_[p + "write_start"] = [this, &n] { return net_bit(n.write_start); };
-    taps_[p + "addr_captured"] = [this, &n] {
-      return net_bit(n.addr_captured);
-    };
-    taps_[p + "write_commit"] = [this, &n] { return net_bit(n.write_commit); };
-  }
-  auto any_of = [this](rtl::NetId BankNets::*field) {
-    for (const BankNets& n : bank_nets_) {
-      if (net_bit(n.*field)) return true;
-    }
-    return false;
-  };
-  taps_["write_start"] = [any_of] { return any_of(&BankNets::write_start); };
-  taps_["addr_captured"] = [any_of] {
-    return any_of(&BankNets::addr_captured);
-  };
-  taps_["write_commit"] = [any_of] { return any_of(&BankNets::write_commit); };
-  taps_["bus_conflict"] = [this] {
-    return machine_->bus_conflict(dout_net_, 0);
-  };
-
-  tap_names_ = concat_names(
-      concat_names(bank_read_taps(cfg.banks), bank_write_taps(cfg.banks)),
-      device_taps());
-  do_reset();
-}
-
-void CsimDeviceModel::do_reset() { machine_->reset(); }
-
-bool CsimDeviceModel::net_bit(rtl::NetId net) const {
-  return machine_->get(net, 0).bit(0) == rtl::Logic::k1;
-}
-
-bool CsimDeviceModel::any_dout_valid() const {
-  for (const BankNets& n : bank_nets_) {
-    if (net_bit(n.dout_valid_k) || net_bit(n.dout_valid_ks)) return true;
-  }
-  return false;
-}
-
-void CsimDeviceModel::apply_edge(const EdgePins& pins) {
-  machine_->set_input_bit("R_n", pins.r_sel_n);
-  machine_->set_input_bit("W_n", pins.w_sel_n);
-  machine_->set_input("A", pins.addr);
-  machine_->set_input("D", core::pack_beat(pins.din_data, cfg_.data_bits));
-  machine_->set_input("BWE_n", pins.bwe_n);
-  machine_->edge(pins.edge == Edge::kK ? "K" : "KS", rtl::Edge::kPos);
-}
-
-bool CsimDeviceModel::tap(const std::string& name) const {
-  auto it = taps_.find(name);
-  if (it == taps_.end()) {
-    throw std::invalid_argument("CsimDeviceModel: unknown tap: " + name);
-  }
-  return it->second();
-}
-
-DoutSample CsimDeviceModel::dout() const {
-  DoutSample s;
-  s.valid = any_dout_valid();
-  if (s.valid) {
-    const auto beat = machine_->get(dout_net_, 0).to_uint();
-    s.defined = beat.has_value();
-    s.beat = beat.value_or(0);
-  }
-  return s;
-}
-
-std::uint64_t CsimDeviceModel::memory_word(int bank, std::uint64_t addr) const {
-  const auto word =
-      machine_->mem_word(bank_mems_[static_cast<std::size_t>(bank)], addr, 0)
-          .to_uint();
-  return word.value_or(~0ull);
 }
 
 // --- backend selection --------------------------------------------------
@@ -413,23 +313,10 @@ RtlBackend rtl_backend_from_string(const std::string& s) {
 
 RtlDevice make_rtl_device(const core::RtlConfig& cfg, RtlBackend backend,
                           const std::function<void(rtl::Module&)>& instrument) {
-  RtlDevice out;
-  if (backend == RtlBackend::kCompiled) {
-    auto model = std::make_unique<CsimDeviceModel>(cfg, instrument);
-    CsimDeviceModel* raw = model.get();
-    out.net_is_one = [raw](rtl::NetId net) {
-      return raw->machine().get(net, 0).bit(0) == rtl::Logic::k1;
-    };
-    out.model = std::move(model);
-  } else {
-    auto model = std::make_unique<RtlDeviceModel>(cfg, instrument);
-    RtlDeviceModel* raw = model.get();
-    out.net_is_one = [raw](rtl::NetId net) {
-      return raw->sim().get(net).bit(0) == rtl::Logic::k1;
-    };
-    out.model = std::move(model);
-  }
-  return out;
+  auto model = std::make_unique<RtlDeviceModel>(cfg, backend, instrument);
+  const RtlDeviceModel* raw = model.get();
+  return {std::move(model),
+          [raw](rtl::NetId net) { return raw->net_is_one(net); }};
 }
 
 }  // namespace la1::harness

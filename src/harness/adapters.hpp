@@ -5,7 +5,8 @@
 //   BehavioralDeviceModel — the kernel-level model (la1/behavioral.hpp)
 //                           driven externally, one kernel tick per edge,
 //   RtlDeviceModel        — the elaborated RTL netlist (la1/rtl_model.hpp)
-//                           in the cycle simulator, one edge() per tick.
+//                           in the interpreted or the compiled simulator
+//                           (RtlBackend), one edge() per tick.
 //
 // Each adapter maps the canonical tap names ("b0.read_start", "write_commit",
 // "bus_conflict", ...) onto its level's native observables, so the N-way
@@ -73,14 +74,28 @@ class BehavioralDeviceModel : public DeviceModel {
   std::unique_ptr<core::KernelHarness> harness_;
 };
 
-/// The elaborated RTL netlist as a DeviceModel.
+/// Which simulator executes the RTL level of a harness run.
+enum class RtlBackend { kInterpreted, kCompiled };
+
+const char* to_string(RtlBackend b);
+/// Inverse of to_string ("interpreted" / "compiled"); throws
+/// std::invalid_argument on anything else.
+RtlBackend rtl_backend_from_string(const std::string& s);
+
+/// The elaborated RTL netlist as a DeviceModel, behind either simulator:
+/// the interpreted rtl::CycleSim ("rtl"), or the compiled bit-parallel
+/// backend of src/csim ("csim") — the module lowered once through
+/// csim::compile, every tick running lane 0 of a 64-lane csim::Machine.
+/// Taps, dout and memory words decode the same nets on both backends, so
+/// the two are observation-interchangeable in lockstep.
 class RtlDeviceModel : public DeviceModel {
  public:
   /// `instrument` runs on the flat module before the simulator is built —
   /// the hook OVL monitors (bench_table3) and netlist mutations (the
-  /// lockstep mutation tests) attach through.
+  /// lockstep mutation tests, fault campaigns) attach through; on the
+  /// compiled backend the instrumented structure is part of the bytecode.
   explicit RtlDeviceModel(
-      const core::RtlConfig& cfg,
+      const core::RtlConfig& cfg, RtlBackend backend = RtlBackend::kInterpreted,
       const std::function<void(rtl::Module&)>& instrument = {});
 
   void apply_edge(const EdgePins& pins) override;
@@ -89,7 +104,11 @@ class RtlDeviceModel : public DeviceModel {
   bool models_dout() const override { return true; }
   std::uint64_t memory_word(int bank, std::uint64_t addr) const override;
 
-  rtl::CycleSim& sim() { return *sim_; }
+  /// Bit 0 of `net` is 1 (lane 0 on the compiled backend).
+  bool net_is_one(rtl::NetId net) const;
+
+  /// The compiled machine; only on the kCompiled backend.
+  csim::Machine& machine() { return *machine_; }
   const rtl::Module& flat() const { return flat_; }
 
  protected:
@@ -101,12 +120,13 @@ class RtlDeviceModel : public DeviceModel {
     rtl::NetId write_start, addr_captured, write_commit;
   };
 
-  bool net_bit(rtl::NetId net) const;
   bool any_dout_valid() const;
 
   core::RtlConfig cfg_;
-  rtl::Module flat_;
-  std::unique_ptr<rtl::CycleSim> sim_;
+  rtl::Module flat_;  // must outlive compiled_ (which borrows it)
+  std::unique_ptr<rtl::CycleSim> sim_;        // kInterpreted
+  std::unique_ptr<csim::Compiled> compiled_;  // kCompiled
+  std::unique_ptr<csim::Machine> machine_;    // kCompiled
   std::vector<BankNets> bank_nets_;
   std::vector<rtl::MemId> bank_mems_;
   rtl::NetId dout_net_ = rtl::kInvalidId;
@@ -115,60 +135,15 @@ class RtlDeviceModel : public DeviceModel {
   std::map<std::string, std::function<bool()>> taps_;
 };
 
-/// The same elaborated RTL netlist behind the compiled bit-parallel backend
-/// (src/csim): the module is lowered once through plan::analyze +
-/// csim::compile, and every tick runs the straight-line programs in lane 0
-/// of a csim::Machine. Taps, dout and memory words are decoded from the
-/// same nets RtlDeviceModel reads, so the two adapters are observation-
-/// interchangeable — the csim parity suites hold them in lockstep.
-class CsimDeviceModel : public DeviceModel {
+/// RtlDeviceModel on the compiled backend, under the name the benchmark
+/// driver (perfbench/) builds its 64-lane rig with.
+class CsimDeviceModel : public RtlDeviceModel {
  public:
-  /// Same contract as RtlDeviceModel: `instrument` mutates the flat module
-  /// (OVL monitors, fault mutants) before it is compiled, so instrumented
-  /// structure is part of the bytecode.
   explicit CsimDeviceModel(
       const core::RtlConfig& cfg,
-      const std::function<void(rtl::Module&)>& instrument = {});
-
-  void apply_edge(const EdgePins& pins) override;
-  bool tap(const std::string& name) const override;
-  DoutSample dout() const override;
-  bool models_dout() const override { return true; }
-  std::uint64_t memory_word(int bank, std::uint64_t addr) const override;
-
-  csim::Machine& machine() { return *machine_; }
-  const csim::Compiled& compiled() const { return *compiled_; }
-  const rtl::Module& flat() const { return flat_; }
-
- protected:
-  void do_reset() override;
-
- private:
-  struct BankNets {
-    rtl::NetId read_start, fetch, dout_valid_k, dout_valid_ks;
-    rtl::NetId write_start, addr_captured, write_commit;
-  };
-
-  bool net_bit(rtl::NetId net) const;
-  bool any_dout_valid() const;
-
-  core::RtlConfig cfg_;
-  rtl::Module flat_;  // must outlive compiled_ (which borrows it)
-  std::unique_ptr<csim::Compiled> compiled_;
-  std::unique_ptr<csim::Machine> machine_;
-  std::vector<BankNets> bank_nets_;
-  std::vector<rtl::MemId> bank_mems_;
-  rtl::NetId dout_net_ = rtl::kInvalidId;
-  std::map<std::string, std::function<bool()>> taps_;
+      const std::function<void(rtl::Module&)>& instrument = {})
+      : RtlDeviceModel(cfg, RtlBackend::kCompiled, instrument) {}
 };
-
-/// Which simulator executes the RTL level of a harness run.
-enum class RtlBackend { kInterpreted, kCompiled };
-
-const char* to_string(RtlBackend b);
-/// Inverse of to_string ("interpreted" / "compiled"); throws
-/// std::invalid_argument on anything else.
-RtlBackend rtl_backend_from_string(const std::string& s);
 
 /// One RTL DeviceModel plus a backend-neutral net readback (the hook OVL
 /// verdicts are collected through). `net_is_one` borrows `model` — drop

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "msc/compile.hpp"
 #include "msc/parse.hpp"
 #include "msc_fixtures.hpp"
 
@@ -69,14 +68,6 @@ msc::Chart read_mode_chart() {
 
 msc::Chart write_mode_chart() {
   return parse_fixture(fixtures::kWriteModeMsc, "write_mode.msc");
-}
-
-uml::SequenceDiagram read_mode_sequence() {
-  return msc::to_uml(read_mode_chart());
-}
-
-uml::SequenceDiagram write_mode_sequence() {
-  return msc::to_uml(write_mode_chart());
 }
 
 }  // namespace la1::core

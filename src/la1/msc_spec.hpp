@@ -3,11 +3,8 @@
 // Figure-3 read/write scenarios as parsed MSC charts.
 //
 // The charts are authored once as `.msc` fixture files under examples/
-// (embedded at build time), replacing the hand-built uml::SequenceDiagram
-// constructors: the text is the single source of truth, and monitors,
-// coverage and stimulus are all compiled from it (src/msc). The legacy
-// `read_mode_sequence()` accessors remain, now as lowerings of the parsed
-// charts.
+// (embedded at build time): the text is the single source of truth, and
+// monitors, coverage and stimulus are all compiled from it (src/msc).
 #pragma once
 
 #include <string>
@@ -32,11 +29,5 @@ msc::Chart read_mode_chart();
 /// The write-mode chart (W# at K, address at the following K#, commit at
 /// the next K), parsed and validated.
 msc::Chart write_mode_chart();
-
-/// Legacy lowering of read_mode_chart() (mandatory timeline only).
-uml::SequenceDiagram read_mode_sequence();
-
-/// Legacy lowering of write_mode_chart().
-uml::SequenceDiagram write_mode_sequence();
 
 }  // namespace la1::core

@@ -12,23 +12,11 @@ namespace la1::lint {
 namespace {
 
 /// Nets referenced (through kNet) by any expression of the module.
-std::vector<char> read_nets(const rtl::Module& m) {
-  std::vector<char> read(m.nets().size(), 0);
+std::set<rtl::NetId> read_nets(const rtl::Module& m) {
+  std::set<rtl::ExprId> visited;
+  std::set<rtl::NetId> read;
   auto mark = [&](rtl::ExprId root) {
-    if (root == rtl::kInvalidId) return;
-    std::vector<rtl::ExprId> work{root};
-    while (!work.empty()) {
-      const rtl::Expr& e = m.expr(work.back());
-      work.pop_back();
-      if (e.op == rtl::Op::kNet) {
-        read[static_cast<std::size_t>(e.net)] = 1;
-        continue;
-      }
-      if (e.a != rtl::kInvalidId) work.push_back(e.a);
-      if (e.b != rtl::kInvalidId) work.push_back(e.b);
-      if (e.c != rtl::kInvalidId) work.push_back(e.c);
-      for (rtl::ExprId p : e.parts) work.push_back(p);
-    }
+    rtl::collect_reads(m, root, visited, &read);
   };
   for (const rtl::ContAssign& ca : m.assigns()) mark(ca.value);
   for (const rtl::TriDriver& td : m.tristates()) {
@@ -62,17 +50,10 @@ std::string instance_of(const std::string& name) {
 
 /// Does the expression reference at least one net?
 bool reads_any_net(const rtl::Module& m, rtl::ExprId root) {
-  std::vector<rtl::ExprId> work{root};
-  while (!work.empty()) {
-    const rtl::Expr& e = m.expr(work.back());
-    work.pop_back();
-    if (e.op == rtl::Op::kNet) return true;
-    if (e.a != rtl::kInvalidId) work.push_back(e.a);
-    if (e.b != rtl::kInvalidId) work.push_back(e.b);
-    if (e.c != rtl::kInvalidId) work.push_back(e.c);
-    for (rtl::ExprId p : e.parts) work.push_back(p);
-  }
-  return false;
+  std::set<rtl::ExprId> visited;
+  std::set<rtl::NetId> reads;
+  rtl::collect_reads(m, root, visited, &reads);
+  return !reads.empty();
 }
 
 void sweep_rules(const rtl::Module& flat, LintReport& report) {
@@ -97,7 +78,7 @@ void sweep_rules(const rtl::Module& flat, LintReport& report) {
     return;
   }
 
-  const std::vector<char> read = read_nets(flat);
+  const std::set<rtl::NetId> read = read_nets(flat);
   auto reported_reg = [&](const std::string& base) {
     // Only registers of the pre-expansion netlist that something actually
     // reads; memory-expansion words and write-only observation taps are
@@ -105,7 +86,7 @@ void sweep_rules(const rtl::Module& flat, LintReport& report) {
     const rtl::NetId id = flat.find_net(base);
     if (id == rtl::kInvalidId) return false;
     if (flat.net(id).kind != rtl::NetKind::kReg) return false;
-    return read[static_cast<std::size_t>(id)] != 0;
+    return read.count(id) != 0;
   };
 
   std::set<std::pair<std::string, std::string>> seen_pairs;

@@ -1,10 +1,10 @@
 // Clock-annotated message sequence charts as a validated AST.
 //
-// This is the textual successor of the hand-built `uml::SequenceDiagram`
-// (paper §4.1, Figure 3): one `.msc` source file is the single authoritative
-// description of a protocol scenario, and everything else — the PSL monitor
-// suite, the functional-coverage groups and the biased stimulus profile —
-// is compiled from it (compile.hpp). The format keeps the paper's
+// The paper's modified sequence diagrams (§4.1, Figure 3) as text: one
+// `.msc` source file is the single authoritative description of a protocol
+// scenario, and everything else — the PSL monitor suite, the
+// functional-coverage groups and the biased stimulus profile — is compiled
+// from it (compile.hpp). The format keeps the paper's
 // `OnReadRequest[0]()@K` annotation verbatim and adds what the derived
 // artifacts need:
 //
@@ -108,7 +108,7 @@ struct Chart {
   const SignalBinding* binding(const std::string& operation) const;
 
   /// Top-level messages in order (regions skipped) — the mandatory
-  /// timeline that lowers to `uml::SequenceDiagram`.
+  /// timeline of the scenario.
   std::vector<const Message*> mandatory() const;
 
   /// Every message, regions included, in document order.

@@ -13,20 +13,6 @@ namespace {
 /// 64-bit words needed to hold `width` bits — the backend's slot unit.
 int words(int width) { return (width + 63) / 64; }
 
-void walk_exprs(const rtl::Module& m, rtl::ExprId id,
-                std::set<rtl::ExprId>& visited, std::set<rtl::NetId>* reads) {
-  if (id == rtl::kInvalidId || !visited.insert(id).second) return;
-  const rtl::Expr& e = m.expr(id);
-  if (e.op == rtl::Op::kNet) {
-    if (reads != nullptr) reads->insert(e.net);
-    return;
-  }
-  walk_exprs(m, e.a, visited, reads);
-  walk_exprs(m, e.b, visited, reads);
-  walk_exprs(m, e.c, visited, reads);
-  for (rtl::ExprId part : e.parts) walk_exprs(m, part, visited, reads);
-}
-
 int detect_banks(const rtl::Module& flat) {
   std::set<int> indices;
   for (const rtl::Net& n : flat.nets()) {
@@ -53,10 +39,10 @@ ScheduleSummary summarize_schedule(const rtl::Module& flat,
   std::set<rtl::ExprId> comb_visited;
   for (const rtl::SchedNode& node : sched.nodes) {
     for (rtl::ExprId e : node.assign_values) {
-      walk_exprs(flat, e, comb_visited, nullptr);
+      rtl::collect_reads(flat, e, comb_visited, nullptr);
     }
     for (rtl::ExprId e : node.tri_enables) {
-      walk_exprs(flat, e, comb_visited, nullptr);
+      rtl::collect_reads(flat, e, comb_visited, nullptr);
     }
   }
   out.comb_ops = static_cast<int>(comb_visited.size());
@@ -65,14 +51,14 @@ ScheduleSummary summarize_schedule(const rtl::Module& flat,
   std::set<rtl::NetId> seq_reads;
   for (const rtl::Process& p : flat.processes()) {
     for (const rtl::SeqAssign& sa : p.assigns) {
-      walk_exprs(flat, sa.value, seq_visited, &seq_reads);
+      rtl::collect_reads(flat, sa.value, seq_visited, &seq_reads);
     }
     for (const rtl::MemWrite& mw : p.mem_writes) {
-      walk_exprs(flat, mw.addr, seq_visited, &seq_reads);
-      walk_exprs(flat, mw.data, seq_visited, &seq_reads);
-      walk_exprs(flat, mw.wen, seq_visited, &seq_reads);
+      rtl::collect_reads(flat, mw.addr, seq_visited, &seq_reads);
+      rtl::collect_reads(flat, mw.data, seq_visited, &seq_reads);
+      rtl::collect_reads(flat, mw.wen, seq_visited, &seq_reads);
       for (rtl::ExprId be : mw.byte_enables) {
-        walk_exprs(flat, be, seq_visited, &seq_reads);
+        rtl::collect_reads(flat, be, seq_visited, &seq_reads);
       }
     }
   }

@@ -12,23 +12,6 @@ namespace {
 using lint::LintReport;
 using lint::Severity;
 
-/// Every net an expression DAG reads (registers included — an x-live
-/// register on a next-state path needs the sideband too). Memory reads
-/// contribute their address subtree.
-void collect_reads(const rtl::Module& m, rtl::ExprId id,
-                   std::set<rtl::ExprId>& visited, std::set<rtl::NetId>& out) {
-  if (id == rtl::kInvalidId || !visited.insert(id).second) return;
-  const rtl::Expr& e = m.expr(id);
-  if (e.op == rtl::Op::kNet) {
-    out.insert(e.net);
-    return;
-  }
-  collect_reads(m, e.a, visited, out);
-  collect_reads(m, e.b, visited, out);
-  collect_reads(m, e.c, visited, out);
-  for (rtl::ExprId part : e.parts) collect_reads(m, part, visited, out);
-}
-
 std::string live_bits_suffix(const XSafety& xs, rtl::NetId net) {
   const BitSafety& bs = xs.nets[static_cast<std::size_t>(net)];
   std::string bits;
@@ -90,20 +73,22 @@ LintReport check_x_live_hotpath(const rtl::Module& flat, const XSafety& xs) {
   LintReport report;
   for (const rtl::Process& p : flat.processes()) {
     for (const rtl::SeqAssign& sa : p.assigns) {
+      // Registers count as reads too: an x-live register on a next-state
+      // path needs the sideband as well.
       std::set<rtl::ExprId> visited;
       std::set<rtl::NetId> reads;
-      collect_reads(flat, sa.value, visited, reads);
+      rtl::collect_reads(flat, sa.value, visited, &reads);
       report_hotpath_reads(flat, xs, reads, "next-state",
                            flat.net(sa.target).name, report);
     }
     for (const rtl::MemWrite& mw : p.mem_writes) {
       std::set<rtl::ExprId> visited;
       std::set<rtl::NetId> reads;
-      collect_reads(flat, mw.addr, visited, reads);
-      collect_reads(flat, mw.data, visited, reads);
-      collect_reads(flat, mw.wen, visited, reads);
+      rtl::collect_reads(flat, mw.addr, visited, &reads);
+      rtl::collect_reads(flat, mw.data, visited, &reads);
+      rtl::collect_reads(flat, mw.wen, visited, &reads);
       for (rtl::ExprId be : mw.byte_enables) {
-        collect_reads(flat, be, visited, reads);
+        rtl::collect_reads(flat, be, visited, &reads);
       }
       report_hotpath_reads(flat, xs, reads, "memory-write",
                            flat.memories()[static_cast<std::size_t>(mw.mem)]

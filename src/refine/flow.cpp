@@ -11,6 +11,8 @@
 #include "dfa/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "flow/analyze.hpp"
+#include "harness/adapters.hpp"
+#include "harness/lockstep.hpp"
 #include "lint/netlist_lint.hpp"
 #include "lint/psl_lint.hpp"
 #include "lint/seq_lint.hpp"
@@ -20,8 +22,6 @@
 #include "ovl/ovl.hpp"
 #include "plan/plan.hpp"
 #include "psl/monitor.hpp"
-#include "refine/conformance.hpp"
-#include "refine/lockstep.hpp"
 #include "rtl/verilog.hpp"
 #include "tgen/closure.hpp"
 #include "util/rng.hpp"
@@ -109,11 +109,32 @@ FlowReport run_flow(const FlowOptions& options) {
   });
 
   // 3. ASM -> behavioural conformance (the AsmL conformance test).
+  // The ASM machine and the kernel-level model co-execute on one random
+  // edge-by-edge stream drawn from the ASM rule domains: beats below
+  // data_values in the low bits of 8-bit beats, full-word writes (the ASM
+  // has no byte enables).
   stage(report, "ASM/behavioural conformance", [&](std::string& detail) {
-    const ConformanceResult r =
-        conformance_test(acfg, options.conformance_steps, options.seed);
+    constexpr int kDataBits = 8;
+    core::Config cfg;
+    cfg.banks = banks;
+    cfg.data_bits = kDataBits;
+    cfg.addr_bits = acfg.mem_addr_bits + cfg.bank_bits();
+    harness::AsmDeviceModel asm_model(acfg, kDataBits);
+    harness::BehavioralDeviceModel beh_model(cfg);
+    harness::StimulusOptions so;
+    so.banks = banks;
+    so.mem_addr_bits = acfg.mem_addr_bits;
+    so.data_bits = kDataBits;
+    so.data_values = static_cast<std::uint64_t>(acfg.data_values);
+    so.full_word_writes = true;
+    harness::StimulusStream stream(so, options.seed);
+    harness::LockstepOptions lo;
+    lo.transactions = static_cast<std::uint64_t>(options.conformance_steps / 2);
+    lo.drain_ticks = options.conformance_steps % 2;
+    const harness::LockstepReport r =
+        harness::run_lockstep({&asm_model, &beh_model}, stream, lo);
     detail = std::to_string(r.comparisons) + " comparisons over " +
-             std::to_string(r.steps_run) + " edges";
+             std::to_string(r.ticks_run) + " edges";
     if (!r.ok) detail += "; mismatch: " + r.mismatch;
     return r.ok;
   });
@@ -159,10 +180,26 @@ FlowReport run_flow(const FlowOptions& options) {
            harness.host().parity_errors() == 0;
   });
 
-  // 5. Behavioural -> RTL lockstep.
+  // 5. Behavioural -> RTL lockstep: the same pin activity edge by edge,
+  // every registered RTL tap and DOUT beat compared against the kernel
+  // model. `rcfg` is the full-geometry device the later RTL stages reuse.
+  core::RtlConfig rcfg;
+  rcfg.banks = banks;
+  rcfg.data_bits = bcfg.data_bits;
+  rcfg.mem_addr_bits = bcfg.mem_addr_bits();
   stage(report, "behavioural/RTL lockstep", [&](std::string& detail) {
-    const LockstepResult r =
-        lockstep_compare(bcfg, options.lockstep_transactions, options.seed);
+    harness::BehavioralDeviceModel beh_model(bcfg);
+    harness::RtlDeviceModel rtl_model(rcfg);
+    harness::StimulusOptions so;
+    so.banks = banks;
+    so.mem_addr_bits = rcfg.mem_addr_bits;
+    so.data_bits = rcfg.data_bits;
+    harness::StimulusStream stream(so, options.seed);
+    harness::LockstepOptions lo;
+    lo.transactions =
+        static_cast<std::uint64_t>(options.lockstep_transactions);
+    const harness::LockstepReport r =
+        harness::run_lockstep({&beh_model, &rtl_model}, stream, lo);
     detail = std::to_string(r.comparisons) + " comparisons over " +
              std::to_string(r.ticks_run) + " ticks";
     if (!r.ok) detail += "; mismatch: " + r.mismatch;
@@ -174,12 +211,9 @@ FlowReport run_flow(const FlowOptions& options) {
   const core::RtlConfig mc_cfg = core::RtlConfig::model_checking(banks);
   stage(report, "RTL static lint", [&](std::string& detail) {
     lint::LintReport all;
-    // Full-geometry device (what stages 7-9 simulate and emit)...
-    core::RtlConfig full_cfg;
-    full_cfg.banks = banks;
-    full_cfg.data_bits = bcfg.data_bits;
-    full_cfg.mem_addr_bits = bcfg.mem_addr_bits();
-    all.merge(lint::lint_netlist(*core::build_device(full_cfg).top));
+    // Full-geometry device (what stages 9, 11 and 14 plan, simulate and
+    // emit)...
+    all.merge(lint::lint_netlist(*core::build_device(rcfg).top));
     // ...and the reduced model-checking geometry plus its property suite.
     core::RtlDevice mc_dev = core::build_device(mc_cfg);
     const rtl::Module mc_flat = rtl::expand_memories(mc_dev.flatten());
@@ -235,11 +269,7 @@ FlowReport run_flow(const FlowOptions& options) {
   // findings (x-live hot paths, write-port conflicts, unlowerable
   // tristates). The ≥90% two-state floor matches the CI gate.
   stage(report, "lowering-legality compile plan", [&](std::string& detail) {
-    core::RtlConfig full_cfg;
-    full_cfg.banks = banks;
-    full_cfg.data_bits = bcfg.data_bits;
-    full_cfg.mem_addr_bits = bcfg.mem_addr_bits();
-    core::RtlDevice dev = core::build_device(full_cfg);
+    core::RtlDevice dev = core::build_device(rcfg);
     const rtl::Module flat = dev.flatten();
     plan::PlanOptions popt;
     popt.schedule = core::clock_schedule(flat);
@@ -278,10 +308,6 @@ FlowReport run_flow(const FlowOptions& options) {
   });
 
   // 11. RTL simulation with OVL monitors.
-  core::RtlConfig rcfg;
-  rcfg.banks = banks;
-  rcfg.data_bits = bcfg.data_bits;
-  rcfg.mem_addr_bits = bcfg.mem_addr_bits();
   stage(report, "RTL ABV (OVL monitors)", [&](std::string& detail) {
     core::RtlDevice dev = core::build_device(rcfg);
     // OVL monitors instantiated into the flattened design — the monitor

@@ -470,4 +470,18 @@ Module::Stats Module::stats() const {
   return s;
 }
 
+void collect_reads(const Module& m, ExprId root, std::set<ExprId>& visited,
+                   std::set<NetId>* reads) {
+  if (root == kInvalidId || !visited.insert(root).second) return;
+  const Expr& e = m.expr(root);
+  if (e.op == Op::kNet) {
+    if (reads != nullptr) reads->insert(e.net);
+    return;
+  }
+  collect_reads(m, e.a, visited, reads);
+  collect_reads(m, e.b, visited, reads);
+  collect_reads(m, e.c, visited, reads);
+  for (ExprId part : e.parts) collect_reads(m, part, visited, reads);
+}
+
 }  // namespace la1::rtl

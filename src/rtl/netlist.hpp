@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -245,6 +246,15 @@ class Module {
   std::vector<Instance> instances_;
   std::vector<bool> net_driven_;  // single continuous driver check
 };
+
+/// Walks the expression DAG under `root`, visiting each node once, and
+/// inserts every net a kNet leaf references into `reads` (when non-null);
+/// memory reads contribute their address subtree. `visited` persists
+/// across calls, so walking several roots with one set visits shared
+/// subtrees once and leaves the set holding every node reached. The sets
+/// are the result: visit order is unspecified.
+void collect_reads(const Module& m, ExprId root, std::set<ExprId>& visited,
+                   std::set<NetId>* reads);
 
 /// Flattens all instances into a single hierarchy-free module with
 /// dot-separated names (`bank0.rp.state`). Tristate groups are preserved.

@@ -52,36 +52,4 @@ std::vector<std::string> ClassDiagram::validate() const {
   return issues;
 }
 
-const char* to_string(ClockRef c) { return c == ClockRef::kK ? "K" : "K#"; }
-
-std::string SequenceDiagram::annotation(const Message& m) {
-  std::string out = m.operation + "[" + std::to_string(m.cycle) + "]()@";
-  out += to_string(m.clock);
-  if (m.duration > 0) out += "/" + std::to_string(m.duration);
-  return out;
-}
-
-std::vector<std::string> SequenceDiagram::validate() const {
-  std::vector<std::string> issues;
-  std::set<std::string> lanes(lifelines_.begin(), lifelines_.end());
-  int last_tick = -1;
-  for (const Message& m : messages_) {
-    if (lanes.count(m.from) == 0) {
-      issues.push_back("message from unknown lifeline: " + m.from);
-    }
-    if (lanes.count(m.to) == 0) {
-      issues.push_back("message to unknown lifeline: " + m.to);
-    }
-    if (m.cycle < 0) {
-      issues.push_back("negative cycle on " + annotation(m));
-    }
-    const int tick = tick_of(m);
-    if (tick < last_tick) {
-      issues.push_back("message order violates time: " + annotation(m));
-    }
-    last_tick = tick;
-  }
-  return issues;
-}
-
 }  // namespace la1::uml

@@ -1,13 +1,13 @@
-// UML spec layer: class diagrams and clock-annotated sequence diagrams.
+// UML spec layer: the class diagram.
 //
-// The paper's flow starts from an informal UML specification (§4.1) with a
-// *modified sequence diagram* notation: each message carries the activation
-// cycle and the clock it is bound to — `OnReadRequest[0]()@K` means the
-// operation fires at relative cycle 0 on a rising edge of K (Figure 3).
-// This module is that specification layer as data: diagrams are built
-// programmatically, validated for well-formedness, rendered to PlantUML/DOT
-// (render.hpp) and *derived from* — PSL properties and ASM/class skeletons
-// (derive.hpp) — which is exactly the role UML plays in the paper.
+// The paper's flow starts from an informal UML specification (§4.1): a
+// class diagram of the interface's principal classes plus *modified
+// sequence diagrams* whose messages carry the activation cycle and clock
+// (`OnReadRequest[0]()@K`, Figure 3). The class diagram lives here — built
+// programmatically, validated for well-formedness and rendered to PlantUML
+// (render.hpp). The sequence diagrams are `.msc` charts (src/msc), the one
+// sequence-chart representation every monitor, coverage group and
+// stimulus profile is compiled from.
 #pragma once
 
 #include <string>
@@ -69,55 +69,6 @@ class ClassDiagram {
   std::string name_;
   std::vector<Class> classes_;
   std::vector<Relation> relations_;
-};
-
-// --- modified sequence diagram ----------------------------------------
-
-/// Which master clock an activation is bound to.
-enum class ClockRef { kK, kKs };
-
-const char* to_string(ClockRef c);
-
-/// One message with the paper's `op[cycle]()@clock` annotation.
-struct Message {
-  std::string from;
-  std::string to;
-  std::string operation;
-  int cycle = 0;          // the [n] annotation, relative to the scenario start
-  ClockRef clock = ClockRef::kK;
-  int duration = 0;       // execution cycles (the paper's duration extension)
-};
-
-class SequenceDiagram {
- public:
-  explicit SequenceDiagram(std::string name) : name_(std::move(name)) {}
-
-  const std::string& name() const { return name_; }
-
-  void add_lifeline(std::string name) { lifelines_.push_back(std::move(name)); }
-  void add_message(Message m) { messages_.push_back(std::move(m)); }
-
-  const std::vector<std::string>& lifelines() const { return lifelines_; }
-  const std::vector<Message>& messages() const { return messages_; }
-
-  /// The message annotation as text, e.g. "OnReadRequest[0]()@K".
-  static std::string annotation(const Message& m);
-
-  /// Converts a (cycle, clock) annotation to a half-cycle tick index: rising
-  /// K edges are even ticks, rising K# edges odd ticks. This is the common
-  /// time base the derived properties and the simulation monitors share.
-  static int tick_of(const Message& m) {
-    return 2 * m.cycle + (m.clock == ClockRef::kKs ? 1 : 0);
-  }
-
-  /// Well-formedness issues (unknown lifelines, ticks not monotone in
-  /// message order, negative cycles). Empty = valid.
-  std::vector<std::string> validate() const;
-
- private:
-  std::string name_;
-  std::vector<std::string> lifelines_;
-  std::vector<Message> messages_;
 };
 
 }  // namespace la1::uml

@@ -43,34 +43,4 @@ std::string to_plantuml(const ClassDiagram& cd) {
   return out.str();
 }
 
-std::string to_plantuml(const SequenceDiagram& sd) {
-  std::ostringstream out;
-  out << "@startuml\ntitle " << sd.name() << "\n";
-  for (const std::string& l : sd.lifelines()) out << "participant " << l << "\n";
-  for (const Message& m : sd.messages()) {
-    out << m.from << " -> " << m.to << " : "
-        << SequenceDiagram::annotation(m) << "\n";
-  }
-  out << "@enduml\n";
-  return out.str();
-}
-
-std::string to_dot(const ClassDiagram& cd) {
-  std::ostringstream out;
-  out << "digraph classes {\n  node [shape=record];\n";
-  for (const Class& c : cd.classes()) {
-    out << "  " << c.name << " [label=\"{" << c.name << "|";
-    for (const Attribute& a : c.attributes) out << a.name << " : " << a.type << "\\l";
-    out << "|";
-    for (const Operation& op : c.operations) out << op.name << "()\\l";
-    out << "}\"];\n";
-  }
-  for (const Relation& r : cd.relations()) {
-    out << "  " << r.from << " -> " << r.to << " [label=\""
-        << util::escape_label(r.label) << "\"];\n";
-  }
-  out << "}\n";
-  return out.str();
-}
-
 }  // namespace la1::uml

@@ -1,5 +1,5 @@
-// Diagram rendering: PlantUML and GraphViz text, so the UML level of the
-// flow is inspectable with standard tooling.
+// Class-diagram rendering as PlantUML text, so the UML level of the flow is
+// inspectable with standard tooling.
 #pragma once
 
 #include <string>
@@ -10,12 +10,5 @@ namespace la1::uml {
 
 /// PlantUML class diagram source.
 std::string to_plantuml(const ClassDiagram& cd);
-
-/// PlantUML sequence diagram source; messages carry the paper's
-/// `op[cycle]()@clock` annotations as labels.
-std::string to_plantuml(const SequenceDiagram& sd);
-
-/// GraphViz rendering of a class diagram.
-std::string to_dot(const ClassDiagram& cd);
 
 }  // namespace la1::uml

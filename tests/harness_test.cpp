@@ -267,10 +267,11 @@ TEST(Lockstep, CatchesInjectedRtlMutation) {
   const int banks = 1;
   core::RtlConfig rcfg = rtl_config(banks, 2);
   harness::BehavioralDeviceModel beh(behavioural_config(banks, 2));
-  harness::RtlDeviceModel mutated(rcfg, [&rcfg](rtl::Module& m) {
-    m.tristate(m.find_net("DOUT"), m.ref("bank0.read_start_q"),
-               m.lit_uint(0, rcfg.beat_pins()));
-  });
+  harness::RtlDeviceModel mutated(
+      rcfg, harness::RtlBackend::kInterpreted, [&rcfg](rtl::Module& m) {
+        m.tristate(m.find_net("DOUT"), m.ref("bank0.read_start_q"),
+                   m.lit_uint(0, rcfg.beat_pins()));
+      });
 
   harness::StimulusOptions so;
   so.banks = banks;
@@ -291,6 +292,73 @@ TEST(Lockstep, CatchesInjectedRtlMutation) {
   const harness::LockstepReport clean =
       harness::run_lockstep({&beh, &pristine}, stream, lo);
   EXPECT_TRUE(clean.ok) << clean.mismatch;
+}
+
+// The two RTL backends — the interpreted CycleSim and the compiled csim
+// machine — are observation-interchangeable: in lockstep on one seeded
+// stream they agree on every tap, every DOUT beat and the end-of-run
+// memory image, at every bank count.
+TEST(Lockstep, InterpretedAndCompiledBackendsAgree) {
+  for (const int banks : {1, 2, 4}) {
+    const core::RtlConfig rcfg = rtl_config(banks, 2);
+    harness::RtlDeviceModel interpreted(rcfg);
+    harness::RtlDevice compiled =
+        harness::make_rtl_device(rcfg, harness::RtlBackend::kCompiled);
+    harness::StimulusOptions so;
+    so.banks = banks;
+    so.mem_addr_bits = 2;
+    so.data_bits = kDataBits;
+    harness::StimulusStream stream(so,
+                                   2004 + static_cast<std::uint64_t>(banks));
+    harness::LockstepOptions lo;
+    lo.transactions = 500;
+    const harness::LockstepReport r =
+        harness::run_lockstep({&interpreted, compiled.model.get()}, stream, lo);
+    EXPECT_TRUE(r.ok) << "banks=" << banks << ": " << r.mismatch;
+    EXPECT_EQ(r.models, (std::vector<std::string>{"rtl", "csim"}));
+    EXPECT_EQ(r.transactions, 500u);
+    EXPECT_GT(r.reads_issued, 0u);
+    EXPECT_GT(r.writes_issued, 0u);
+    // Every shared tap per edge plus DOUT and the memory image.
+    EXPECT_GT(r.comparisons, r.ticks_run * interpreted.tap_names().size());
+  }
+}
+
+// One netlist mutation, applied through `instrument` on either backend,
+// is caught against the behavioural reference on both — and the two
+// mutated backends still agree with each other.
+TEST(Lockstep, MutationCaughtOnBothBackends) {
+  const int banks = 1;
+  const core::RtlConfig rcfg = rtl_config(banks, 2);
+  const auto mutate = [&rcfg](rtl::Module& m) {
+    m.tristate(m.find_net("DOUT"), m.ref("bank0.read_start_q"),
+               m.lit_uint(0, rcfg.beat_pins()));
+  };
+  harness::StimulusOptions so;
+  so.banks = banks;
+  so.data_bits = kDataBits;
+  so.read_rate = 0.9;
+  harness::LockstepOptions lo;
+  lo.transactions = 400;
+
+  harness::BehavioralDeviceModel beh(behavioural_config(banks, 2));
+  harness::RtlDevice interpreted = harness::make_rtl_device(
+      rcfg, harness::RtlBackend::kInterpreted, mutate);
+  harness::CsimDeviceModel compiled(rcfg, mutate);
+  for (harness::DeviceModel* mutated :
+       {interpreted.model.get(),
+        static_cast<harness::DeviceModel*>(&compiled)}) {
+    harness::StimulusStream stream(so, 6);
+    const harness::LockstepReport r =
+        harness::run_lockstep({&beh, mutated}, stream, lo);
+    EXPECT_FALSE(r.ok) << mutated->name();
+    EXPECT_FALSE(r.mismatch.empty()) << mutated->name();
+  }
+
+  harness::StimulusStream stream(so, 6);
+  const harness::LockstepReport both =
+      harness::run_lockstep({interpreted.model.get(), &compiled}, stream, lo);
+  EXPECT_TRUE(both.ok) << both.mismatch;
 }
 
 // Geometry disagreement is a caller error, not a silent partial compare.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "la1/behavioral.hpp"
 #include "la1/host_bfm.hpp"
 #include "la1/properties.hpp"
@@ -142,6 +144,12 @@ struct FaultCase {
   Bank::Fault fault;
   const char* expected_property;  // substring of the failing property name
 };
+
+// Names each case by its property. gtest's default printout of this struct is
+// its raw bytes, pointer included, so the case name changed with every run.
+void PrintTo(const FaultCase& fc, std::ostream* os) {
+  *os << fc.expected_property;
+}
 
 class FaultInjection : public ::testing::TestWithParam<FaultCase> {};
 

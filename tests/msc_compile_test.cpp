@@ -146,25 +146,6 @@ TEST(MscToPsl, OptRegionAnchorsAndCovers) {
 
 // ---- lowering --------------------------------------------------------
 
-TEST(MscLowering, ToUmlKeepsMandatoryTimelineOnly) {
-  const uml::SequenceDiagram sd = to_uml(core::read_mode_chart());
-  ASSERT_EQ(sd.messages().size(), 4u);  // the loop region does not lower
-  EXPECT_EQ(uml::SequenceDiagram::tick_of(sd.messages()[0]), 0);
-  EXPECT_EQ(uml::SequenceDiagram::tick_of(sd.messages()[3]), 5);
-  EXPECT_TRUE(sd.validate().empty());
-}
-
-TEST(MscLowering, FromUmlRoundTripsThroughText) {
-  const uml::SequenceDiagram sd = core::read_mode_sequence();
-  const Chart lifted = from_uml(sd);
-  const Chart reparsed = parse_chart(to_text(lifted));
-  ASSERT_EQ(reparsed.mandatory().size(), sd.messages().size());
-  for (std::size_t i = 0; i < sd.messages().size(); ++i) {
-    EXPECT_EQ(reparsed.mandatory()[i]->annotation(),
-              uml::SequenceDiagram::annotation(sd.messages()[i]));
-  }
-}
-
 TEST(MscLowering, ToDotNamesLifelinesAndMessages) {
   const std::string dot = to_dot(core::read_mode_chart());
   EXPECT_NE(dot.find("digraph"), std::string::npos);

@@ -1,27 +1,72 @@
 #include <gtest/gtest.h>
 
+#include "harness/adapters.hpp"
+#include "harness/lockstep.hpp"
+#include "harness/stimulus.hpp"
+#include "la1/asm_model.hpp"
 #include "la1/behavioral.hpp"
-#include "la1/host_bfm.hpp"
 #include "la1/rtl_model.hpp"
-#include "refine/conformance.hpp"
 #include "refine/flow.hpp"
-#include "refine/lockstep.hpp"
-#include "rtl/sim.hpp"
-#include "util/rng.hpp"
 
 namespace la1::refine {
 namespace {
 
+/// The RTL device at a behavioural geometry.
+core::RtlConfig rtl_config_of(const core::Config& cfg) {
+  core::RtlConfig rcfg;
+  rcfg.banks = cfg.banks;
+  rcfg.data_bits = cfg.data_bits;
+  rcfg.mem_addr_bits = cfg.mem_addr_bits();
+  rcfg.read_latency = cfg.read_latency;
+  return rcfg;
+}
+
+/// Behavioural vs RTL in lockstep on `transactions` seeded transactions.
+harness::LockstepReport behavioural_rtl_lockstep(
+    harness::BehavioralDeviceModel& beh, const core::Config& cfg,
+    std::uint64_t transactions, std::uint64_t seed) {
+  harness::RtlDeviceModel rtl(rtl_config_of(cfg));
+  harness::StimulusOptions so;
+  so.banks = cfg.banks;
+  so.mem_addr_bits = cfg.mem_addr_bits();
+  so.data_bits = cfg.data_bits;
+  harness::StimulusStream stream(so, seed);
+  harness::LockstepOptions lo;
+  lo.transactions = transactions;
+  return harness::run_lockstep({&beh, &rtl}, stream, lo);
+}
+
 class ConformanceSweep
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 
+// The AsmL conformance test: the ASM machine and the kernel-level model
+// co-execute 600 edges of stimulus drawn from the ASM rule domains (8-bit
+// beats carrying values below data_values, full-word writes).
 TEST_P(ConformanceSweep, AsmAndBehavioralAgree) {
   const auto [banks, seed] = GetParam();
+  constexpr int kDataBits = 8;
   core::AsmConfig cfg;
   cfg.banks = banks;
-  const ConformanceResult r = conformance_test(cfg, 600, seed);
+  core::Config bcfg;
+  bcfg.banks = banks;
+  bcfg.data_bits = kDataBits;
+  bcfg.addr_bits = cfg.mem_addr_bits + bcfg.bank_bits();
+  harness::AsmDeviceModel asm_model(cfg, kDataBits);
+  harness::BehavioralDeviceModel beh(bcfg);
+  harness::StimulusOptions so;
+  so.banks = banks;
+  so.mem_addr_bits = cfg.mem_addr_bits;
+  so.data_bits = kDataBits;
+  so.data_values = static_cast<std::uint64_t>(cfg.data_values);
+  so.full_word_writes = true;
+  harness::StimulusStream stream(so, seed);
+  harness::LockstepOptions lo;
+  lo.transactions = 300;
+  lo.drain_ticks = 0;
+  const harness::LockstepReport r =
+      harness::run_lockstep({&asm_model, &beh}, stream, lo);
   EXPECT_TRUE(r.ok) << r.mismatch;
-  EXPECT_EQ(r.steps_run, 600);
+  EXPECT_EQ(r.ticks_run, 600u);
   EXPECT_GT(r.comparisons, 1000u);
 }
 
@@ -39,7 +84,9 @@ TEST_P(LockstepSweep, BehavioralAndRtlAgree) {
   cfg.banks = banks;
   cfg.data_bits = 16;
   cfg.addr_bits = 5;
-  const LockstepResult r = lockstep_compare(cfg, 150, seed);
+  harness::BehavioralDeviceModel beh(cfg);
+  const harness::LockstepReport r =
+      behavioural_rtl_lockstep(beh, cfg, 150, seed);
   EXPECT_TRUE(r.ok) << r.mismatch;
   EXPECT_GT(r.reads_issued, 0u);
   EXPECT_GT(r.writes_issued, 0u);
@@ -51,6 +98,20 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4),
                        ::testing::Values(7ull, 99ull)));
 
+/// The behavioural model with bank 0 dropping the second read beat. The
+/// fault is re-injected on every reset, because run_lockstep resets the
+/// models (which rebuilds the kernel harness) before the first edge.
+class DropBeat1Behavioral : public harness::BehavioralDeviceModel {
+ public:
+  using BehavioralDeviceModel::BehavioralDeviceModel;
+
+ protected:
+  void do_reset() override {
+    BehavioralDeviceModel::do_reset();
+    kernel_harness().device().bank(0).inject(core::Bank::Fault::kDropBeat1);
+  }
+};
+
 TEST(Lockstep, DetectsInjectedDivergence) {
   // A behavioural-side fault must surface as a lockstep mismatch: the RTL
   // is the reference here, so the comparison is a genuine equivalence check
@@ -59,36 +120,17 @@ TEST(Lockstep, DetectsInjectedDivergence) {
   cfg.banks = 1;
   cfg.data_bits = 16;
   cfg.addr_bits = 4;
+  DropBeat1Behavioral faulty(cfg);
+  const harness::LockstepReport r =
+      behavioural_rtl_lockstep(faulty, cfg, 100, 3);
+  EXPECT_FALSE(r.ok);
+  EXPECT_FALSE(r.mismatch.empty());
 
-  // Re-run lockstep manually with a faulty behavioural device.
-  core::KernelHarness h(cfg);
-  h.device().bank(0).inject(core::Bank::Fault::kDropBeat1);
-  util::Rng rng(3);
-  h.host().push_random(rng, 100);
-
-  core::RtlConfig rcfg;
-  rcfg.banks = cfg.banks;
-  rcfg.data_bits = cfg.data_bits;
-  rcfg.mem_addr_bits = cfg.mem_addr_bits();
-  core::RtlDevice dev = core::build_device(rcfg);
-  const rtl::Module flat = dev.flatten();
-  rtl::CycleSim sim(flat);
-  const rtl::NetId tap = flat.find_net("bank0.dout_valid_ks_q");
-
-  bool diverged = false;
-  h.run_ticks(300, [&](int tick) {
-    core::Pins& pins = h.pins();
-    sim.set_input_bit("R_n", pins.r_sel_n.read());
-    sim.set_input_bit("W_n", pins.w_sel_n.read());
-    sim.set_input("A", pins.addr.read());
-    sim.set_input("D", pins.din.read());
-    sim.set_input("BWE_n", pins.bwe_n.read());
-    sim.edge(tick % 2 == 0 ? "K" : "KS", rtl::Edge::kPos);
-    const bool rtl_beat1 = sim.get(tap).bit(0) == rtl::Logic::k1;
-    diverged = diverged ||
-               (rtl_beat1 != h.device().bank(0).taps().dout_valid_ks);
-  });
-  EXPECT_TRUE(diverged);
+  // The same run on the fault-free model is clean.
+  harness::BehavioralDeviceModel clean(cfg);
+  const harness::LockstepReport ok =
+      behavioural_rtl_lockstep(clean, cfg, 100, 3);
+  EXPECT_TRUE(ok.ok) << ok.mismatch;
 }
 
 TEST(Flow, EndToEndOneBank) {

@@ -36,7 +36,11 @@ const std::set<std::string> kExpected = {
 const std::set<std::string> kBatchExpected = {"run", "example"};
 
 std::string run_tool_help(const std::string& binary, int* exit_code) {
-  const std::string out_path = testing::TempDir() + "la1_tool_help.txt";
+  // One file per test: ctest runs these tests in parallel processes, and a
+  // shared name let one test remove another's output before it was read.
+  const std::string out_path =
+      testing::TempDir() + "la1_tool_help." +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt";
   std::remove(out_path.c_str());
   const std::string cmd = binary + " --help > " + out_path + " 2>&1";
   *exit_code = std::system(cmd.c_str());

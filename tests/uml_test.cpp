@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "la1/msc_spec.hpp"
 #include "msc/compile.hpp"
-#include "uml/derive.hpp"
 #include "uml/model.hpp"
 #include "uml/render.hpp"
 
@@ -37,25 +41,44 @@ TEST(ClassDiagramTest, ValidateGeneralizationCycle) {
   EXPECT_FALSE(cd.validate().empty());
 }
 
+// The paper's modified sequence diagrams are msc::Chart values.
+msc::Message message(std::string from, std::string to, std::string op,
+                     int cycle, msc::Clock clock) {
+  msc::Message m;
+  m.from = std::move(from);
+  m.to = std::move(to);
+  m.operation = std::move(op);
+  m.cycle_lo = m.cycle_hi = cycle;
+  m.clock = clock;
+  return m;
+}
+
 TEST(SequenceDiagramTest, AnnotationFormat) {
-  Message m{"NP", "RP", "OnReadRequest", 2, ClockRef::kKs, 0};
-  EXPECT_EQ(SequenceDiagram::annotation(m), "OnReadRequest[2]()@K#");
-  EXPECT_EQ(SequenceDiagram::tick_of(m), 5);
-  Message k{"NP", "RP", "X", 1, ClockRef::kK, 0};
-  EXPECT_EQ(SequenceDiagram::tick_of(k), 2);
+  const msc::Message m =
+      message("NP", "RP", "OnReadRequest", 2, msc::Clock::kKs);
+  EXPECT_EQ(m.annotation(), "OnReadRequest[2]()@K#");
+  EXPECT_EQ(m.tick_lo(), 5);
+  const msc::Message k = message("NP", "RP", "X", 1, msc::Clock::kK);
+  EXPECT_EQ(k.tick_lo(), 2);
 }
 
 TEST(SequenceDiagramTest, ValidateOrderAndLifelines) {
-  SequenceDiagram sd("s");
-  sd.add_lifeline("A");
-  sd.add_message({"A", "B", "op", 0, ClockRef::kK, 0});  // unknown B
-  sd.add_message({"A", "A", "late", 0, ClockRef::kK, 0});
+  msc::Chart sd;
+  sd.name = "s";
+  sd.lifelines = {"A"};
+  sd.items.push_back(
+      msc::Item::of(message("A", "B", "op", 0, msc::Clock::kK)));  // unknown B
+  sd.items.push_back(
+      msc::Item::of(message("A", "A", "late", 0, msc::Clock::kK)));
   EXPECT_FALSE(sd.validate().empty());
 
-  SequenceDiagram ordered("o");
-  ordered.add_lifeline("A");
-  ordered.add_message({"A", "A", "second", 1, ClockRef::kK, 0});
-  ordered.add_message({"A", "A", "first", 0, ClockRef::kK, 0});  // goes back
+  msc::Chart ordered;
+  ordered.name = "o";
+  ordered.lifelines = {"A"};
+  ordered.items.push_back(
+      msc::Item::of(message("A", "A", "second", 1, msc::Clock::kK)));
+  ordered.items.push_back(  // goes back
+      msc::Item::of(message("A", "A", "first", 0, msc::Clock::kK)));
   bool found_order_issue = false;
   for (const auto& issue : ordered.validate()) {
     if (issue.find("order") != std::string::npos) found_order_issue = true;
@@ -85,48 +108,12 @@ TEST(DeriveTest, CoversPerMessage) {
   EXPECT_GE(suite.covers.size(), chart.mandatory().size());
 }
 
-TEST(DeriveTest, AsmSkeletonEnforcesInitOrder) {
-  ClassDiagram cd("d");
-  cd.add_class("A");
-  cd.add_class("B");
-  asml::Machine m = derive_asm_skeleton(cd);
-  // SystemStart requires every class initialized.
-  asml::State s = m.initial();
-  EXPECT_FALSE(m.rule("SystemStart").enabled(s, {}));
-  s = m.fire(m.rule("Init_A"), {}, s);
-  EXPECT_FALSE(m.rule("SystemStart").enabled(s, {}));
-  s = m.fire(m.rule("Init_B"), {}, s);
-  ASSERT_TRUE(m.rule("SystemStart").enabled(s, {}));
-  s = m.fire(m.rule("SystemStart"), {}, s);
-  EXPECT_EQ(s.get_symbol("SystemFlag"), "STARTED");
-  // Init rules fire at most once.
-  EXPECT_FALSE(m.rule("Init_A").enabled(s, {}));
-}
-
-TEST(DeriveTest, ModuleSkeletons) {
-  const std::string code = derive_module_skeletons(core::la1_class_diagram());
-  EXPECT_NE(code.find("class ReadPort"), std::string::npos);
-  EXPECT_NE(code.find("void OnReadRequest("), std::string::npos);
-}
-
 TEST(RenderTest, PlantUmlClassDiagram) {
   const std::string uml = to_plantuml(core::la1_class_diagram());
   EXPECT_NE(uml.find("@startuml"), std::string::npos);
   EXPECT_NE(uml.find("class SRAM_Memory"), std::string::npos);
   EXPECT_NE(uml.find("*--"), std::string::npos);  // composition
   EXPECT_NE(uml.find("1..4"), std::string::npos);  // bank multiplicity
-}
-
-TEST(RenderTest, PlantUmlSequenceDiagram) {
-  const std::string uml = to_plantuml(core::read_mode_sequence());
-  EXPECT_NE(uml.find("OnReadRequest[0]()@K"), std::string::npos);
-  EXPECT_NE(uml.find("participant ReadPort"), std::string::npos);
-}
-
-TEST(RenderTest, DotClassDiagram) {
-  const std::string dot = to_dot(core::la1_class_diagram());
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("ReadPort"), std::string::npos);
 }
 
 TEST(La1Spec, ClassDiagramMatchesPaper) {
@@ -140,17 +127,18 @@ TEST(La1Spec, ClassDiagramMatchesPaper) {
 }
 
 TEST(La1Spec, ReadModeTicksMatchFigure3) {
-  const SequenceDiagram sd = core::read_mode_sequence();
-  const auto& msgs = sd.messages();
+  // The mandatory timeline; the trailing loop region is a cover goal.
+  const msc::Chart chart = core::read_mode_chart();
+  const std::vector<const msc::Message*> msgs = chart.mandatory();
   ASSERT_EQ(msgs.size(), 4u);
-  EXPECT_EQ(SequenceDiagram::tick_of(msgs[0]), 0);  // request at K(0)
-  EXPECT_EQ(SequenceDiagram::tick_of(msgs[1]), 2);  // SRAM at K(1)
-  EXPECT_EQ(SequenceDiagram::tick_of(msgs[2]), 4);  // beat0 at K(2)
-  EXPECT_EQ(SequenceDiagram::tick_of(msgs[3]), 5);  // beat1 at K#(2)
+  EXPECT_EQ(msgs[0]->tick_lo(), 0);  // request at K(0)
+  EXPECT_EQ(msgs[1]->tick_lo(), 2);  // SRAM at K(1)
+  EXPECT_EQ(msgs[2]->tick_lo(), 4);  // beat0 at K(2)
+  EXPECT_EQ(msgs[3]->tick_lo(), 5);  // beat1 at K#(2)
 }
 
 TEST(La1Spec, WriteModeValidates) {
-  EXPECT_TRUE(core::write_mode_sequence().validate().empty());
+  EXPECT_TRUE(core::write_mode_chart().validate().empty());
 }
 
 }  // namespace
