@@ -2,127 +2,84 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_map>
+
+#include "asml/successors.hpp"
 
 namespace la1::asml {
 
-namespace {
-
-std::string label_of(const Rule& rule, const Args& args) {
-  std::string label = rule.name;
-  if (!args.empty()) {
-    label += '(';
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      if (i != 0) label += ',';
-      label += args[i].to_string();
-    }
-    label += ')';
-  }
-  return label;
-}
-
-}  // namespace
-
 ExploreResult explore(const Machine& machine, const ExploreConfig& config) {
   ExploreResult result;
+  SuccessorGraph graph(machine, config.enabled_rules);
 
-  // Select participating rules.
-  std::vector<const Rule*> rules;
-  if (config.enabled_rules.empty()) {
-    for (const Rule& r : machine.rules()) rules.push_back(&r);
-  } else {
-    for (const std::string& name : config.enabled_rules) {
-      rules.push_back(&machine.rule(name));
-    }
-  }
-  // Pre-enumerate each rule's argument tuples once.
-  std::vector<std::vector<Args>> tuples;
-  tuples.reserve(rules.size());
-  for (const Rule* r : rules) tuples.push_back(Machine::argument_tuples(*r));
-
-  std::unordered_map<std::string, std::uint32_t> interned;
-  std::vector<State> states;                 // kept even when !record_states
-  std::vector<std::int64_t> parent_state;    // BFS tree for counterexamples
-  std::vector<std::string> parent_label;
-
-  auto intern = [&](State s) -> std::pair<std::uint32_t, bool> {
-    const std::string key = s.encode();
-    auto it = interned.find(key);
-    if (it != interned.end()) return {it->second, false};
-    const auto id = static_cast<std::uint32_t>(states.size());
-    interned.emplace(key, id);
-    states.push_back(std::move(s));
-    parent_state.push_back(-1);
-    parent_label.emplace_back();
-    if (config.record_states) result.fsm.add_state(states.back());
-    return {id, true};
-  };
+  // The graph numbers states in the order this search first reaches them,
+  // so the states seen so far are exactly the ids below `seen`.
+  std::uint32_t seen = 1;
+  std::vector<std::int64_t> parent_state{-1};  // BFS tree for counterexamples
+  std::vector<SuccessorGraph::Edge> parent_edge(1);
 
   auto make_counterexample = [&](std::uint32_t target) {
     std::vector<CounterexampleStep> path;
     for (std::int64_t at = target; parent_state[static_cast<std::size_t>(at)] >= 0;
          at = parent_state[static_cast<std::size_t>(at)]) {
-      path.push_back(CounterexampleStep{
-          parent_label[static_cast<std::size_t>(at)],
-          states[static_cast<std::size_t>(at)]});
+      const auto id = static_cast<std::uint32_t>(at);
+      path.push_back(
+          CounterexampleStep{graph.label(parent_edge[id]), graph.state(id)});
     }
     std::reverse(path.begin(), path.end());
     return path;
   };
 
-  const auto [init_id, init_new] = intern(machine.initial());
-  (void)init_new;
-  if (config.stop_filter && config.stop_filter(machine.initial())) {
+  if (config.record_states) result.fsm.add_state(graph.state(0));
+  if (config.stop_filter && config.stop_filter(graph.state(0))) {
     result.stopped_on_filter = true;
     result.states = 1;
     return result;
   }
 
-  std::deque<std::uint32_t> frontier{init_id};
+  std::deque<std::uint32_t> frontier{0};
   bool truncated = false;
+  std::uint32_t truncated_in_rule = 0;
 
-  while (!frontier.empty()) {
+  while (!frontier.empty() && !truncated) {
     const std::uint32_t at = frontier.front();
     frontier.pop_front();
-    const State current = states[at];  // copy: states may reallocate below
 
-    for (std::size_t r = 0; r < rules.size(); ++r) {
-      for (const Args& args : tuples[r]) {
-        if (!rules[r]->enabled(current, args)) continue;
-        if (result.transitions >= config.max_transitions) {
-          truncated = true;
-          break;
+    for (const SuccessorGraph::Edge& e : graph.edges(at)) {
+      // The state budget lets the rest of the tripping rule's tuples run.
+      if (truncated && e.rule != truncated_in_rule) break;
+      if (result.transitions >= config.max_transitions) {
+        truncated = true;
+        break;
+      }
+      ++result.rule_firings;
+      const bool is_new = e.to == seen;
+      if (is_new) ++seen;
+      ++result.transitions;
+      if (config.record_states) {
+        if (is_new) result.fsm.add_state(graph.state(e.to));
+        result.fsm.add_transition(at, e.to, graph.label(e));
+      }
+
+      if (is_new) {
+        parent_state.push_back(at);
+        parent_edge.push_back(e);
+        if (config.stop_filter && config.stop_filter(graph.state(e.to))) {
+          result.stopped_on_filter = true;
+          result.counterexample = make_counterexample(e.to);
+          result.states = seen;
+          return result;
         }
-        ++result.rule_firings;
-        State next = machine.fire(*rules[r], args, current);
-        const std::string label = label_of(*rules[r], args);
-
-        const auto [next_id, is_new] = intern(std::move(next));
-        ++result.transitions;
-        if (config.record_states) result.fsm.add_transition(at, next_id, label);
-
-        if (is_new) {
-          parent_state[next_id] = at;
-          parent_label[next_id] = label;
-          if (config.stop_filter && config.stop_filter(states[next_id])) {
-            result.stopped_on_filter = true;
-            result.counterexample = make_counterexample(next_id);
-            result.states = states.size();
-            return result;
-          }
-          if (states.size() >= config.max_states) {
-            truncated = true;
-          } else {
-            frontier.push_back(next_id);
-          }
+        if (seen >= config.max_states) {
+          truncated = true;
+          truncated_in_rule = e.rule;
+        } else {
+          frontier.push_back(e.to);
         }
       }
-      if (truncated) break;
     }
-    if (truncated) break;
   }
 
-  result.states = states.size();
+  result.states = seen;
   result.complete = !truncated;
   return result;
 }

@@ -26,8 +26,8 @@ struct ExploreConfig {
   std::vector<std::string> enabled_rules;
   /// Stop condition (P_status && !P_value in the paper's encoding).
   std::function<bool(const State&)> stop_filter;
-  /// Keep full states in the FSM (needed by the explicit model checker and
-  /// DOT export; disable to save memory on large sweeps).
+  /// Keep full states and labelled transitions in the FSM (needed by DOT
+  /// export and test generation; disable to save memory on large sweeps).
   bool record_states = true;
 };
 

@@ -11,10 +11,19 @@
 // Nondeterministic choice (`any x in {..}` in Figure 4) is expressed as an
 // extra rule argument with the choice set as its domain, which makes the
 // explorer's enumeration exhaustive over the choices.
+//
+// A state is a flat vector of values indexed by *slot*. The location names
+// live in a layout shared by every state derived from one initial state, so
+// copying, comparing and hashing a state touch only its values. Rules that
+// run in the explorer's inner loop resolve their locations to slots once,
+// when the machine is built (Machine::slot), and read and write by slot; the
+// by-name accessors are lookups for tests, tools and property sampling.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,14 +32,20 @@
 
 namespace la1::asml {
 
+/// Index of a location in a state.
+using Slot = std::uint32_t;
+
+class Layout;  // location names in slot order; private to machine.cpp
+
 /// The full ASM state: a finite map from location names to values.
 class State {
  public:
   State() = default;
 
   const Value& get(const std::string& location) const;
-  bool has(const std::string& location) const { return map_.count(location) != 0; }
-  void set(const std::string& location, Value v) { map_[location] = std::move(v); }
+  bool has(const std::string& location) const { return find(location).has_value(); }
+  /// Sets `location`, adding it when the state lacks it.
+  void set(const std::string& location, Value v);
 
   bool get_bool(const std::string& location) const { return get(location).as_bool(); }
   std::int64_t get_int(const std::string& location) const { return get(location).as_int(); }
@@ -38,15 +53,29 @@ class State {
     return get(location).as_symbol().name;
   }
 
-  /// Canonical printable encoding (sorted by location); doubles as intern key.
+  /// The slot of `location`, if the state has it.
+  std::optional<Slot> find(const std::string& location) const;
+  /// By-slot access, unchecked: `slot` must come from this state's layout
+  /// (Machine::slot of the machine the state belongs to, or find()).
+  const Value& operator[](Slot slot) const { return values_[slot]; }
+  void set(Slot slot, Value v) { values_[slot] = v; }
+  std::size_t size() const { return values_.size(); }
+  const std::string& name(Slot slot) const;
+
+  /// True when both states index their locations the same way, which holds
+  /// for every state derived from one initial state.
+  bool same_layout(const State& o) const { return layout_ == o.layout_; }
+  /// Hash of the values; consistent with == among states of one layout.
+  std::size_t hash() const;
+
+  /// Canonical printable encoding (sorted by location).
   std::string encode() const;
 
-  const std::map<std::string, Value>& locations() const { return map_; }
-
-  bool operator==(const State& o) const { return map_ == o.map_; }
+  bool operator==(const State& o) const;
 
  private:
-  std::map<std::string, Value> map_;
+  std::shared_ptr<Layout> layout_;  // null while the state has no location
+  std::vector<Value> values_;       // values_[slot]
 };
 
 /// Thrown when two updates in one step write different values to the same
@@ -60,18 +89,29 @@ class InconsistentUpdate : public std::runtime_error {
 /// The update set produced by one rule firing.
 class UpdateSet {
  public:
+  /// A free-standing update set; its locations are matched by name when
+  /// it is applied.
+  UpdateSet() = default;
+  /// An update set for a step from `base` (what Machine::fire builds): it
+  /// may write only locations `base` has, and accepts slots.
+  explicit UpdateSet(const State& base);
+
   /// Records location := v; throws InconsistentUpdate on a conflicting
   /// double write, ignores an identical double write (ASM semantics).
+  void set(Slot slot, Value v);
   void set(const std::string& location, Value v);
 
-  bool empty() const { return map_.empty(); }
-  const std::map<std::string, Value>& updates() const { return map_; }
+  bool empty() const;
 
   /// Applies this update set to `s` simultaneously.
   State apply_to(const State& s) const;
 
  private:
-  std::map<std::string, Value> map_;
+  friend class Machine;
+
+  State next_;                  // the base with the updates applied
+  bool bound_ = false;          // constructed from a base state
+  std::vector<bool> written_;   // written_[slot]: next_[slot] was updated
 };
 
 /// A finite domain for one rule argument.
@@ -95,6 +135,10 @@ struct Rule {
   }
 };
 
+/// "rule(arg,...)", or the bare rule name when it takes no arguments: the
+/// label of a transition in the FSM and in counterexamples.
+std::string label_of(const Rule& rule, const Args& args);
+
 /// An ASM machine: an initial state plus rules.
 class Machine {
  public:
@@ -104,6 +148,10 @@ class Machine {
 
   State& initial() { return initial_; }
   const State& initial() const { return initial_; }
+
+  /// The slot of a location of the initial state, for rules that read and
+  /// write by slot. Throws std::invalid_argument for an unknown location.
+  Slot slot(const std::string& location) const;
 
   /// Registers a rule; returns its index.
   std::size_t add_rule(Rule rule);
@@ -120,8 +168,10 @@ class Machine {
   State fire(const Rule& rule, const Args& args, const State& s) const;
 
   /// Fires a transition given its explorer label, e.g. "TickK(true,0)".
-  /// Argument tokens parse as bool / int / symbol by shape. Throws on an
-  /// unknown rule or a disabled precondition.
+  /// Argument tokens parse as bool / int / symbol by shape; a token that
+  /// starts like a number must be one. Throws std::invalid_argument on a
+  /// malformed label or unknown rule, std::logic_error on a disabled
+  /// precondition.
   State fire_label(const std::string& label, const State& s) const;
 
  private:

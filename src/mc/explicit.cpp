@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <optional>
+#include <set>
+#include <stdexcept>
 #include <unordered_map>
 
+#include "asml/successors.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
@@ -20,129 +24,222 @@ bool StateEnv::sample(const std::string& signal) const {
 
 namespace {
 
-std::string label_of(const asml::Rule& rule, const asml::Args& args) {
-  std::string label = rule.name;
-  if (!args.empty()) {
-    label += '(';
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      if (i != 0) label += ',';
-      label += args[i].to_string();
+using asml::SuccessorGraph;
+
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+/// An Env that lets a monitor sample only its property's atoms, so that a
+/// memoized step cannot depend on a signal the letter does not record.
+class AtomEnv : public psl::Env {
+ public:
+  AtomEnv(const std::vector<std::string>& atoms, const asml::State& s)
+      : atoms_(&atoms), env_(s) {}
+  bool sample(const std::string& signal) const override {
+    if (std::find(atoms_->begin(), atoms_->end(), signal) == atoms_->end()) {
+      throw std::logic_error("monitor sampled '" + signal +
+                             "', which its property does not name");
     }
-    label += ')';
+    return env_.sample(signal);
   }
-  return label;
-}
 
-}  // namespace
+ private:
+  const std::vector<std::string>* atoms_;
+  StateEnv env_;
+};
 
-ExplicitResult check(const asml::Machine& machine, const psl::PropPtr& prop,
-                     const ExplicitOptions& options) {
-  util::CpuStopwatch cpu;
-  ExplicitResult result;
-
-  std::vector<const asml::Rule*> rules;
-  if (options.enabled_rules.empty()) {
-    for (const asml::Rule& r : machine.rules()) rules.push_back(&r);
-  } else {
-    for (const std::string& name : options.enabled_rules) {
-      rules.push_back(&machine.rule(name));
+/// A property's monitor as a deterministic automaton, built on the fly.
+/// States are the distinct Monitor::encode() strings reached; letters are
+/// atom valuations of ASM states. A step is computed by cloning the
+/// representative monitor and stepping it on the real ASM state (StateEnv),
+/// once per (state, letter); later steps are table lookups.
+class LazyMonitor {
+ public:
+  LazyMonitor(const psl::PropPtr& prop, const asml::State& layout)
+      : prop_(prop) {
+    std::set<std::string> signals;
+    psl::collect_signals(*prop, signals);
+    for (const std::string& signal : signals) {
+      atoms_.push_back(signal);
+      Atom a;
+      const std::size_t eq = signal.find('=');
+      const std::string loc =
+          eq == std::string::npos
+              ? signal
+              : std::string(util::trim(signal.substr(0, eq)));
+      a.slot = layout.find(loc);
+      if (eq != std::string::npos) {
+        a.want = std::string(util::trim(signal.substr(eq + 1)));
+      }
+      resolved_.push_back(std::move(a));
     }
   }
-  std::vector<std::vector<asml::Args>> tuples;
-  tuples.reserve(rules.size());
-  for (const auto* r : rules) tuples.push_back(asml::Machine::argument_tuples(*r));
 
-  struct ProductState {
-    asml::State state;
-    std::unique_ptr<psl::Monitor> monitor;
-    std::int64_t parent = -1;
-    std::string label;
+  /// The monitor after sampling the initial state (cycle 0).
+  std::uint32_t initial(const asml::State& s) {
+    auto monitor = psl::compile(prop_);
+    monitor->step(AtomEnv(atoms_, s));
+    return intern(std::move(monitor));
+  }
+
+  /// The monitor `from` after sampling ASM state `to` of `graph`.
+  std::uint32_t step(std::uint32_t from, std::uint32_t to,
+                     const SuccessorGraph& graph) {
+    const std::uint64_t key =
+        static_cast<std::uint64_t>(from) << 32 | letter(to, graph);
+    const auto it = memo_.find(key);
+    if (it != memo_.end()) return it->second;
+    auto monitor = reps_[from]->clone();
+    monitor->step(AtomEnv(atoms_, graph.state(to)));
+    const std::uint32_t next = intern(std::move(monitor));
+    memo_.emplace(key, next);
+    return next;
+  }
+
+  bool failed(std::uint32_t id) const { return failed_[id]; }
+
+ private:
+  /// How StateEnv samples an atom: "loc" reads a boolean, "loc=value"
+  /// compares the printed value.
+  struct Atom {
+    std::optional<asml::Slot> slot;  // none: sampling throws
+    std::optional<std::string> want;
   };
 
-  std::vector<ProductState> states;
-  std::unordered_map<std::string, std::uint32_t> interned;
-  std::unordered_map<std::string, bool> fsm_states;
+  /// Id of the atom valuation of ASM state `id`, computed once per state.
+  /// Each atom contributes 0 or 1, or 2 where sampling it throws (a missing
+  /// or non-boolean location); the real sample on a memo miss then throws
+  /// the same way whenever the monitor reads that atom.
+  std::uint32_t letter(std::uint32_t id, const SuccessorGraph& graph) {
+    if (id >= letter_of_.size()) letter_of_.resize(graph.size(), kNone);
+    if (letter_of_[id] != kNone) return letter_of_[id];
+    const asml::State& s = graph.state(id);
+    std::string valuation(resolved_.size(), '2');
+    for (std::size_t i = 0; i < resolved_.size(); ++i) {
+      const Atom& a = resolved_[i];
+      if (!a.slot) continue;
+      const asml::Value& v = s[*a.slot];
+      if (a.want) {
+        valuation[i] = v.to_string() == *a.want ? '1' : '0';
+      } else if (v.is_bool()) {
+        valuation[i] = v.as_bool() ? '1' : '0';
+      }
+    }
+    const auto [it, inserted] = letters_.try_emplace(
+        std::move(valuation), static_cast<std::uint32_t>(letters_.size()));
+    letter_of_[id] = it->second;
+    return it->second;
+  }
 
-  auto intern = [&](asml::State s, std::unique_ptr<psl::Monitor> m,
-                    std::int64_t parent,
-                    std::string label) -> std::pair<std::uint32_t, bool> {
-    const std::string state_key = s.encode();
-    fsm_states.emplace(state_key, true);
-    const std::string key = state_key + "##" + m->encode();
-    auto it = interned.find(key);
-    if (it != interned.end()) return {it->second, false};
-    const auto id = static_cast<std::uint32_t>(states.size());
-    interned.emplace(key, id);
-    states.push_back(
-        ProductState{std::move(s), std::move(m), parent, std::move(label)});
-    return {id, true};
+  std::uint32_t intern(std::unique_ptr<psl::Monitor> monitor) {
+    const auto [it, inserted] = ids_.try_emplace(
+        monitor->encode(), static_cast<std::uint32_t>(reps_.size()));
+    if (inserted) {
+      failed_.push_back(monitor->current() == psl::Verdict::kFailed);
+      reps_.push_back(std::move(monitor));
+    }
+    return it->second;
+  }
+
+  psl::PropPtr prop_;
+  std::vector<std::string> atoms_;  // collect_signals order
+  std::vector<Atom> resolved_;      // per atom
+
+  std::unordered_map<std::string, std::uint32_t> letters_;
+  std::vector<std::uint32_t> letter_of_;  // per ASM id; kNone until computed
+
+  std::unordered_map<std::string, std::uint32_t> ids_;  // encode() -> id
+  std::vector<std::unique_ptr<psl::Monitor>> reps_;     // first of each id
+  std::vector<bool> failed_;
+  std::unordered_map<std::uint64_t, std::uint32_t> memo_;  // (id, letter)
+};
+
+/// The product of `graph` with the monitor of `prop`, searched breadth
+/// first from (initial state, monitor after cycle 0).
+ExplicitResult check_product(SuccessorGraph& graph, const psl::PropPtr& prop,
+                             const ExplicitOptions& options) {
+  util::CpuStopwatch cpu;
+  ExplicitResult result;
+  LazyMonitor monitor(prop, graph.state(0));
+
+  struct ProductState {
+    std::uint32_t asm_id = 0;
+    std::uint32_t monitor = 0;
+    std::int64_t parent = -1;
+    SuccessorGraph::Edge via;  // edge from the parent's ASM state
+  };
+  std::vector<ProductState> states;
+  std::unordered_map<std::uint64_t, std::uint32_t> interned;
+  std::vector<bool> asm_seen;
+
+  auto intern = [&](const ProductState& p) -> std::pair<std::uint32_t, bool> {
+    if (p.asm_id >= asm_seen.size()) asm_seen.resize(graph.size(), false);
+    if (!asm_seen[p.asm_id]) {
+      asm_seen[p.asm_id] = true;
+      ++result.fsm_states;
+    }
+    const std::uint64_t key =
+        static_cast<std::uint64_t>(p.asm_id) << 32 | p.monitor;
+    const auto [it, inserted] =
+        interned.try_emplace(key, static_cast<std::uint32_t>(states.size()));
+    if (inserted) states.push_back(p);
+    return {it->second, inserted};
   };
 
   auto counterexample_to = [&](std::uint32_t target) {
     std::vector<std::string> path;
     for (std::int64_t at = target; states[static_cast<std::size_t>(at)].parent >= 0;
          at = states[static_cast<std::size_t>(at)].parent) {
-      path.push_back(states[static_cast<std::size_t>(at)].label);
+      path.push_back(graph.label(states[static_cast<std::size_t>(at)].via));
     }
     std::reverse(path.begin(), path.end());
     return path;
   };
 
-  auto finish = [&](ExplicitResult r) {
-    r.product_states = states.size();
-    r.fsm_states = fsm_states.size();
-    r.cpu_seconds = cpu.seconds();
-    return r;
+  auto finish = [&] {
+    result.product_states = states.size();
+    result.cpu_seconds = cpu.seconds();
+    return result;
   };
 
-  // Initial product state: monitor samples the initial ASM state (cycle 0).
-  {
-    auto monitor = psl::compile(prop);
-    StateEnv env(machine.initial());
-    monitor->step(env);
-    if (monitor->current() == psl::Verdict::kFailed) {
-      result.violated = true;
-      return finish(std::move(result));
-    }
-    intern(machine.initial(), std::move(monitor), -1, "");
+  // Initial product state: the monitor samples the initial ASM state
+  // (cycle 0), which counts as explored even when it already fails.
+  const std::uint32_t initial = monitor.initial(graph.state(0));
+  intern(ProductState{0, initial, -1, {}});
+  if (monitor.failed(initial)) {
+    result.violated = true;
+    return finish();
   }
 
   std::deque<std::uint32_t> frontier{0};
   bool truncated = false;
+  std::uint32_t truncated_in_rule = 0;
 
   while (!frontier.empty() && !truncated) {
     const std::uint32_t at = frontier.front();
     frontier.pop_front();
-    // Copy: `states` may reallocate during expansion.
-    const asml::State current = states[at].state;
+    const ProductState from = states[at];  // copy: `states` may reallocate
 
-    for (std::size_t r = 0; r < rules.size() && !truncated; ++r) {
-      for (const asml::Args& args : tuples[r]) {
-        if (!rules[r]->enabled(current, args)) continue;
-        if (result.product_transitions >= options.max_transitions) {
+    for (const SuccessorGraph::Edge& e : graph.edges(from.asm_id)) {
+      // The state budget lets the rest of the tripping rule's tuples run.
+      if (truncated && e.rule != truncated_in_rule) break;
+      if (result.product_transitions >= options.max_transitions) {
+        truncated = true;
+        break;
+      }
+      ++result.product_transitions;
+      const std::uint32_t next = monitor.step(from.monitor, e.to, graph);
+      const auto [id, is_new] = intern(ProductState{e.to, next, at, e});
+      if (monitor.failed(next)) {
+        result.violated = true;
+        result.counterexample = counterexample_to(id);
+        return finish();
+      }
+      if (is_new) {
+        if (states.size() >= options.max_states) {
           truncated = true;
-          break;
-        }
-        ++result.product_transitions;
-        asml::State next = machine.fire(*rules[r], args, current);
-        auto monitor = states[at].monitor->clone();
-        StateEnv env(next);
-        monitor->step(env);
-        const bool failed = monitor->current() == psl::Verdict::kFailed;
-        const auto [id, is_new] =
-            intern(std::move(next), std::move(monitor), at,
-                   label_of(*rules[r], args));
-        if (failed) {
-          result.violated = true;
-          result.counterexample = counterexample_to(id);
-          return finish(std::move(result));
-        }
-        if (is_new) {
-          if (states.size() >= options.max_states) {
-            truncated = true;
-          } else {
-            frontier.push_back(id);
-          }
+          truncated_in_rule = e.rule;
+        } else {
+          frontier.push_back(id);
         }
       }
     }
@@ -150,22 +247,31 @@ ExplicitResult check(const asml::Machine& machine, const psl::PropPtr& prop,
 
   result.holds = true;
   result.complete = !truncated;
-  return finish(std::move(result));
+  return finish();
+}
+
+}  // namespace
+
+ExplicitResult check(const asml::Machine& machine, const psl::PropPtr& prop,
+                     const ExplicitOptions& options) {
+  SuccessorGraph graph(machine, options.enabled_rules);
+  return check_product(graph, prop, options);
 }
 
 std::vector<PropertyOutcome> check_all(
     const asml::Machine& machine,
     const std::vector<std::pair<std::string, psl::PropPtr>>& props,
     const ExplicitOptions& options) {
+  SuccessorGraph graph(machine, options.enabled_rules);
   std::vector<PropertyOutcome> out;
   out.reserve(props.size());
   for (const auto& [name, prop] : props) {
-    const ExplicitResult r = check(machine, prop, options);
+    ExplicitResult r = check_product(graph, prop, options);
     PropertyOutcome o;
     o.name = name;
     o.holds = r.holds;
     o.complete = r.complete;
-    o.counterexample = r.counterexample;
+    o.counterexample = std::move(r.counterexample);
     out.push_back(std::move(o));
   }
   return out;

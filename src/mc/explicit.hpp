@@ -6,13 +6,19 @@
 // monitor state). The monitor carries the paper's (P_status, P_value)
 // encoding; a product state with P_status && !P_value is the stop filter,
 // and the BFS tree path to it is the counterexample.
+//
+// Both halves of the product are integers. ASM states are ids of an
+// asml::SuccessorGraph. Monitor states are ids of the distinct monitor
+// encodings (Monitor::encode, the identity psl::determinize uses); the
+// monitor is determinized lazily, only for the letters the design
+// produces: a letter is the valuation of the property's atoms in an ASM
+// state, and each (monitor id, letter) is stepped once and memoized.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "asml/explore.hpp"
 #include "asml/machine.hpp"
 #include "psl/monitor.hpp"
 
@@ -55,8 +61,9 @@ struct ExplicitResult {
 ExplicitResult check(const asml::Machine& machine, const psl::PropPtr& prop,
                      const ExplicitOptions& options = {});
 
-/// Convenience: explore first (Table 1 reports the generated-FSM size), then
-/// check each property over the same machine.
+/// Checks each property over the same machine. The properties share one
+/// successor graph, so each ASM transition is fired once, not once per
+/// property; every outcome equals that of check() on its own.
 struct PropertyOutcome {
   std::string name;
   bool holds = false;

@@ -42,6 +42,29 @@ TEST(FireLabel, ParsesArgs) {
   EXPECT_THROW(m.fire_label("NoSuchRule", s), std::invalid_argument);
 }
 
+TEST(FireLabel, RejectsMalformedArguments) {
+  core::AsmConfig cfg;
+  const Machine m = core::build_asm_model(cfg);
+  State s = m.initial();
+  s = m.fire_label("SystemStart", s);
+  s = m.fire_label("SimManager_Init", s);
+  // A partial number, an empty token, a bare minus sign, a trailing comma.
+  for (const std::string label :
+       {"TickK(true,1x,false,0)", "TickK(true,,false,0)",
+        "TickK(true,-,false,0)", "TickK(true,1,false,)"}) {
+    try {
+      (void)m.fire_label(label, s);
+      ADD_FAILURE() << label << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(label), std::string::npos)
+          << e.what();
+    }
+  }
+  // Well-formed tokens still parse, a negative number included.
+  EXPECT_TRUE(m.fire_label("TickK(true,1,false,0)", s).get_bool("b0.read_start"));
+  EXPECT_EQ(m.fire_label("TickK(false,-1,true,1)", s).get_int("wp.beat0"), 1);
+}
+
 TEST(TestGen, CoversEveryTransition) {
   const Machine m = counter_machine(5);
   const ExploreResult r = explore(m);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "asml/explore.hpp"
 #include "la1/asm_model.hpp"
 #include "mc/explicit.hpp"
@@ -167,6 +169,48 @@ TEST(AsmModel, ExclusiveDriveAcrossBanks) {
   const mc::ExplicitResult r = mc::check(
       m, psl::p_never(psl::s_bool(psl::b_sig("bus_conflict"))), opt);
   EXPECT_FALSE(r.violated);
+}
+
+TEST(AsmConcurrency, TwoThreadsBuildAndCheck) {
+  // Symbols are interned in one process-wide table. Two threads build
+  // machines (interning the model's symbols), intern symbols of their own
+  // and model-check concurrently; both must see the single-thread results.
+  AsmConfig cfg;
+  cfg.banks = 1;
+  mc::ExplicitOptions opt;
+  opt.max_states = 2000;
+  const auto props = asm_properties(cfg);
+  struct Outcome {
+    std::vector<mc::PropertyOutcome> outcomes;
+    bool symbols_ok = true;
+  };
+  auto work = [&](int id, Outcome& out) {
+    for (int i = 0; i < 200; ++i) {
+      const std::string name = "T" + std::to_string(i % 50) + "_" +
+                               std::to_string(id == 0 ? i : 199 - i);
+      out.symbols_ok &= asml::Value::symbol(name).as_symbol().name == name;
+    }
+    const asml::Machine m = build_asm_model(cfg);
+    out.outcomes = mc::check_all(m, props, opt);
+  };
+  Outcome a;
+  Outcome b;
+  std::thread t0([&] { work(0, a); });
+  std::thread t1([&] { work(1, b); });
+  t0.join();
+  t1.join();
+  const auto expected = mc::check_all(build_asm_model(cfg), props, opt);
+  EXPECT_TRUE(a.symbols_ok);
+  EXPECT_TRUE(b.symbols_ok);
+  for (const Outcome* o : {&a, &b}) {
+    ASSERT_EQ(o->outcomes.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(o->outcomes[i].holds, expected[i].holds) << expected[i].name;
+      EXPECT_EQ(o->outcomes[i].complete, expected[i].complete);
+      EXPECT_EQ(o->outcomes[i].counterexample, expected[i].counterexample);
+    }
+  }
+  EXPECT_EQ(asml::Value::symbol("T3_3"), asml::Value::symbol("T3_3"));
 }
 
 }  // namespace

@@ -133,6 +133,44 @@ TEST(Explicit, BuggyMachineCaught) {
   EXPECT_TRUE(bad.violated);
 }
 
+TEST(Explicit, BuggyMachineCounterexampleIsPinned) {
+  const auto prop = psl::parse_property("never {ack && timer=0}");
+  const ExplicitResult r = check(handshake_machine(3, true), prop);
+  ASSERT_TRUE(r.violated);
+  const std::vector<std::string> expected = {"Request", "Ack"};
+  EXPECT_EQ(r.counterexample, expected);
+  EXPECT_EQ(r.product_states, 4u);
+  EXPECT_EQ(r.product_transitions, 4u);
+  EXPECT_EQ(r.fsm_states, 4u);
+}
+
+TEST(Explicit, InitialStateViolationCountsTheInitialState) {
+  // ack is low in the initial state, so the property fails at cycle 0: the
+  // initial state was explored, and the counterexample is empty.
+  const Machine m = handshake_machine(3, false);
+  const ExplicitResult r = check(m, psl::parse_property("never {!ack}"));
+  EXPECT_TRUE(r.violated);
+  EXPECT_FALSE(r.holds);
+  EXPECT_TRUE(r.counterexample.empty());
+  EXPECT_EQ(r.product_states, 1u);
+  EXPECT_EQ(r.product_transitions, 0u);
+  EXPECT_EQ(r.fsm_states, 1u);
+}
+
+TEST(Explicit, UnsampleableAtomsThrowWhenSampled) {
+  const Machine m = handshake_machine(3, false);
+  // A location the machine lacks, sampled in the initial state.
+  EXPECT_THROW(check(m, psl::parse_property("never {missing}")),
+               std::invalid_argument);
+  // An integer location sampled as a boolean, only once a request is up.
+  EXPECT_THROW(check(m, psl::parse_property("always (req -> next[1] timer)")),
+               std::invalid_argument);
+  // Never sampled: the consequent's missing location is harmless.
+  EXPECT_TRUE(
+      check(m, psl::parse_property("always (ack && req -> next[1] missing)"))
+          .holds);
+}
+
 TEST(Explicit, BudgetTruncates) {
   const Machine m = handshake_machine(20, false);
   ExplicitOptions opt;

@@ -167,6 +167,24 @@ TEST(ToolsCli, CompiledFaultsReportMatchesInterpretedByteForByte) {
   EXPECT_EQ(ja.str(), jb.str());
 }
 
+TEST(ToolsCli, AsmReportsTheInitialStateOfACycleZeroViolation) {
+  // The read pipeline is idle in the initial state, so the property fails
+  // at cycle 0 after exploring exactly the initial state.
+  const std::string out = testing::TempDir() + "la1_asm_cycle0.txt";
+  const int code = std::system((std::string(LA1_LA1CHECK) +
+                                " asm --prop \"never {!b0.read_start}\" > " +
+                                out + " 2>&1")
+                                   .c_str());
+  EXPECT_NE(code, 0);
+  std::ifstream in(out);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  EXPECT_NE(buf.str().find("explored 1 product states (1 ASM states)"),
+            std::string::npos)
+      << buf.str();
+  EXPECT_NE(buf.str().find("VIOLATED"), std::string::npos) << buf.str();
+}
+
 TEST(ToolsCli, CsimSubcommandProvesParityAndReportsSpeedup) {
   const std::string dir = testing::TempDir();
   const std::string out = dir + "la1_csim.json";

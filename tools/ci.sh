@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Local CI for la1kit: the tier-1 verify line, a static-lint gate, and a
-# bench smoke run with structured JSON reporting.
+# Local CI for la1kit: the tier-1 verify line, a static-lint gate, the
+# Table-1 ASM count gate, and a bench smoke run with structured JSON
+# reporting.
 #
 #   tools/ci.sh                 # full build + ctest + lint gate + bench smoke
 #   tools/ci.sh --smoke-only    # skip build/ctest, just lint gate + smoke
@@ -121,16 +122,19 @@ if [ "$tsan" -eq 1 ]; then
   # parallel campaign/closure drivers they schedule) under ThreadSanitizer,
   # plus the csim differential suites: compiled-backend campaigns run one
   # Machine per worker, so the suites double as a data-race check on the
-  # compile/executor seam. A separate build tree keeps instrumented objects
+  # compile/executor seam. AsmConcurrency builds and checks ASM models on
+  # two threads at once, which races on the process-wide symbol table if
+  # its guard is missing. A separate build tree keeps instrumented objects
   # out of the normal build; only these test binaries are built and run —
   # TSan and ASan cannot share a process, so this complements --sanitize.
   tsan_dir="${LA1_TSAN_BUILD_DIR:-$repo_root/build-tsan}"
   cmake -B "$tsan_dir" -S "$repo_root" -DLA1_SANITIZE=thread
   cmake --build "$tsan_dir" -j "$jobs" \
-    --target exec_determinism_test batch_test csim_parity_test csim_lane_test
+    --target exec_determinism_test batch_test csim_parity_test csim_lane_test \
+    la1_asm_test
   (cd "$tsan_dir" && ctest --output-on-failure -j "$jobs" \
-    --timeout "$test_timeout" -R 'Exec|Batch|Csim')
-  echo "ci: executor/batch/csim tests passed under ThreadSanitizer"
+    --timeout "$test_timeout" -R 'Exec|Batch|Csim|AsmConcurrency')
+  echo "ci: executor/batch/csim/ASM-symbol tests passed under ThreadSanitizer"
   exit 0
 fi
 
@@ -434,6 +438,23 @@ if [ "$batch" -eq 1 ]; then
   gate_done "batch-service gate passed (1 vs 4 workers, kill/resume)"
 fi
 
+# ASM count gate: Table 1's generated-FSM nodes and transitions at 1 and 2
+# banks are exact counts of the explicit-state checker (the 2-bank row is
+# bounded by the default 120000-state budget, so it also pins where the
+# budget truncates). A change to states, monitors or successor order that
+# moves a count fails here.
+"$build_dir/bench/bench_table1_asm_mc" --max-banks 2 \
+  --json "$smoke_dir/table1-counts.json" > /dev/null
+counts=$(sed -n 's/.*"fsm_states": \([0-9]*\).*/\1/p
+                s/.*"fsm_transitions": \([0-9]*\).*/\1/p' \
+  "$smoke_dir/table1-counts.json" | tr '\n' ' ')
+if [ "$counts" != "19459 198418 120005 337042 " ]; then
+  echo "ci: Table 1 FSM counts are '$counts'; want 19459 198418 (1 bank)" \
+    "120005 337042 (2 banks)" >&2
+  exit 1
+fi
+gate_done "ASM count gate passed (Table 1 FSM sizes at 1 and 2 banks)"
+
 # Bench smoke: every bench_table* binary must emit a parseable --json
 # report; the 3-way lockstep example must agree across the levels.
 "$build_dir/bench/bench_table1_asm_mc" --max-banks 1 --max-states 20000 \
@@ -459,4 +480,4 @@ for f in table1 table2 BENCH_table2_invariants table3 coi plan nway; do
 done
 gate_done "bench smoke passed"
 
-echo "ci: tier-1 verify, lint, dataflow, flow-analysis, and bench smoke passed"
+echo "ci: tier-1 verify, lint, dataflow, flow-analysis, ASM counts, and bench smoke passed"
