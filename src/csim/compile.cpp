@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "rtl/bitwalk.hpp"
+
 namespace la1::csim {
 
 namespace {
@@ -28,10 +30,10 @@ std::int64_t Compiled::total_instructions() const {
 /// pinned constant slots (kZeroSlot/kOnesSlot) absorb statically-known
 /// operands — that is what collapses the four-state formulas to their bare
 /// two-state forms on plan-proven bits without a separate lowering path.
-class Compiler {
+class Compiler : public rtl::BitWalk<Compiler, BitRef> {
  public:
   Compiler(const rtl::Module& flat, const plan::CompilePlan& plan)
-      : module_(&flat) {
+      : BitWalk(flat), module_(&flat) {
     out_.module_ = &flat;
     out_.plan_ = plan;
   }
@@ -246,11 +248,12 @@ class Compiler {
   // --- four-state bit algebra -------------------------------------------
   // Encoding: 0=(0,0) 1=(1,0) Z=(0,1) X=(1,1). `zero_of`/`one_of` are the
   // definite-value masks the conservative operators are built from.
+  // `not_bit`, `equal` and `mux_bit` are also the walk's hooks (below).
 
   std::int32_t zero_of(const BitRef& x) { return f_nor(x.a, x.b); }
   std::int32_t one_of(const BitRef& x) { return f_andn(x.a, x.b); }
 
-  BitRef lower_not(const BitRef& x) {
+  BitRef not_bit(const BitRef& x) {
     if (x.two_state()) return BitRef{f_not(x.a), kZeroSlot};
     return BitRef{f_orn(x.a, x.b), x.b};
   }
@@ -341,7 +344,7 @@ class Compiler {
 
   // k1/k0 when both sides are fully defined; a definite 0/1 mismatch wins
   // even next to X bits (vec_eq's contract).
-  BitRef lower_eq(const std::vector<BitRef>& x, const std::vector<BitRef>& y) {
+  BitRef equal(const std::vector<BitRef>& x, const std::vector<BitRef>& y) {
     std::int32_t mismatch = kZeroSlot;
     std::int32_t unknown = kZeroSlot;
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -353,7 +356,7 @@ class Compiler {
     return BitRef{f_not(mismatch), f_andn(unknown, mismatch)};
   }
 
-  BitRef lower_mux_bit(const BitRef& sel, const BitRef& t, const BitRef& e) {
+  BitRef mux_bit(const BitRef& sel, const BitRef& t, const BitRef& e) {
     if (sel.two_state()) {
       const std::int32_t a = f_mux(t.a, e.a, sel.a);
       const std::int32_t b = (t.two_state() && e.two_state())
@@ -405,133 +408,74 @@ class Compiler {
     return out;
   }
 
-  // --- expression compilation (memoized per program) --------------------
+  // --- the walk's slot domain (rtl/bitwalk.hpp) ---------------------------
 
-  const std::vector<BitRef>& compile_expr(rtl::ExprId id) {
-    auto& memo = expr_memo_[static_cast<std::size_t>(id)];
-    if (expr_done_[static_cast<std::size_t>(id)]) return memo;
-    const rtl::Expr& e = module_->expr(id);
+  friend class rtl::BitWalk<Compiler, BitRef>;
+
+  std::vector<BitRef> literal(const rtl::LVec& v) {
     std::vector<BitRef> out;
-    switch (e.op) {
-      case rtl::Op::kConst: {
-        out.reserve(static_cast<std::size_t>(e.width));
-        for (int i = 0; i < e.width; ++i) {
-          const rtl::Logic v = e.literal.bit(i);
-          const bool a = v == rtl::Logic::k1 || v == rtl::Logic::kX;
-          const bool b = v == rtl::Logic::kZ || v == rtl::Logic::kX;
-          out.push_back(BitRef{a ? kOnesSlot : kZeroSlot,
-                               b ? kOnesSlot : kZeroSlot});
-        }
-        break;
-      }
-      case rtl::Op::kNet: {
-        const NetSlots& ns = out_.nets_[static_cast<std::size_t>(e.net)];
-        for (int i = 0; i < e.width; ++i) {
-          out.push_back(BitRef{ns.a[static_cast<std::size_t>(i)],
-                               ns.b[static_cast<std::size_t>(i)]});
-        }
-        break;
-      }
-      case rtl::Op::kNot: {
-        const auto& a = compile_expr(e.a);
-        for (const BitRef& bit : a) out.push_back(lower_not(bit));
-        break;
-      }
-      case rtl::Op::kAnd: {
-        const auto& a = compile_expr(e.a);
-        const auto& b = compile_expr(e.b);
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          out.push_back(lower_and(a[i], b[i]));
-        }
-        break;
-      }
-      case rtl::Op::kOr: {
-        const auto& a = compile_expr(e.a);
-        const auto& b = compile_expr(e.b);
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          out.push_back(lower_or(a[i], b[i]));
-        }
-        break;
-      }
-      case rtl::Op::kXor: {
-        const auto& a = compile_expr(e.a);
-        const auto& b = compile_expr(e.b);
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          out.push_back(lower_xor(a[i], b[i]));
-        }
-        break;
-      }
-      case rtl::Op::kRedAnd:
-        out.push_back(lower_red_and(compile_expr(e.a)));
-        break;
-      case rtl::Op::kRedOr:
-        out.push_back(lower_red_or(compile_expr(e.a)));
-        break;
-      case rtl::Op::kRedXor:
-        out.push_back(lower_red_xor(compile_expr(e.a)));
-        break;
-      case rtl::Op::kEq:
-        out.push_back(lower_eq(compile_expr(e.a), compile_expr(e.b)));
-        break;
-      case rtl::Op::kNe:
-        out.push_back(lower_not(lower_eq(compile_expr(e.a), compile_expr(e.b))));
-        break;
-      case rtl::Op::kMux: {
-        const BitRef sel = compile_expr(e.a)[0];
-        const auto& t = compile_expr(e.b);
-        const auto& f = compile_expr(e.c);
-        for (std::size_t i = 0; i < t.size(); ++i) {
-          out.push_back(lower_mux_bit(sel, t[i], f[i]));
-        }
-        break;
-      }
-      case rtl::Op::kConcat: {
-        // Parts are MSB-first; bit 0 of the result is bit 0 of the last part.
-        for (auto it = e.parts.rbegin(); it != e.parts.rend(); ++it) {
-          const auto& part = compile_expr(*it);
-          out.insert(out.end(), part.begin(), part.end());
-        }
-        break;
-      }
-      case rtl::Op::kSlice: {
-        const auto& a = compile_expr(e.a);
-        for (int i = 0; i < e.width; ++i) {
-          out.push_back(a[static_cast<std::size_t>(e.lo + i)]);
-        }
-        break;
-      }
-      case rtl::Op::kAdd:
-        out = lower_add(compile_expr(e.a), compile_expr(e.b), false);
-        break;
-      case rtl::Op::kSub:
-        out = lower_add(compile_expr(e.a), compile_expr(e.b), true);
-        break;
-      case rtl::Op::kMemRead: {
-        const auto& addr = compile_expr(e.a);
-        MemReadDesc d;
-        d.mem = e.mem;
-        d.depth = module_->memories()[static_cast<std::size_t>(e.mem)].depth;
-        d.width = e.width;
-        d.addr = addr;
-        for (int i = 0; i < e.width; ++i) {
-          d.out_a.push_back(alloc());
-          d.out_b.push_back(alloc());
-          out.push_back(BitRef{d.out_a.back(), d.out_b.back()});
-        }
-        out_.mem_reads_.push_back(std::move(d));
-        emit(OpCode::kMemRead, 0, 0, 0, 0, out_.mem_reads_.size() - 1);
-        break;
-      }
+    out.reserve(static_cast<std::size_t>(v.width()));
+    for (int i = 0; i < v.width(); ++i) {
+      const rtl::Logic x = v.bit(i);
+      const bool a = x == rtl::Logic::k1 || x == rtl::Logic::kX;
+      const bool b = x == rtl::Logic::kZ || x == rtl::Logic::kX;
+      out.push_back(
+          BitRef{a ? kOnesSlot : kZeroSlot, b ? kOnesSlot : kZeroSlot});
     }
-    memo = std::move(out);
-    expr_done_[static_cast<std::size_t>(id)] = true;
-    return memo;
+    return out;
+  }
+
+  std::vector<BitRef> net(rtl::NetId id) {
+    const NetSlots& ns = out_.nets_[static_cast<std::size_t>(id)];
+    std::vector<BitRef> out;
+    for (std::size_t i = 0; i < ns.a.size(); ++i) {
+      out.push_back(BitRef{ns.a[i], ns.b[i]});
+    }
+    return out;
+  }
+
+  std::vector<BitRef> mem_read(const rtl::Expr& e) {
+    const auto& addr = eval(e.a);
+    MemReadDesc d;
+    d.mem = e.mem;
+    d.depth = module_->memories()[static_cast<std::size_t>(e.mem)].depth;
+    d.width = e.width;
+    d.addr = addr;
+    std::vector<BitRef> out;
+    for (int i = 0; i < e.width; ++i) {
+      d.out_a.push_back(alloc());
+      d.out_b.push_back(alloc());
+      out.push_back(BitRef{d.out_a.back(), d.out_b.back()});
+    }
+    out_.mem_reads_.push_back(std::move(d));
+    emit(OpCode::kMemRead, 0, 0, 0, 0, out_.mem_reads_.size() - 1);
+    return out;
+  }
+
+  std::vector<BitRef> arith(const rtl::Expr& e) {
+    return lower_add(eval(e.a), eval(e.b), e.op == rtl::Op::kSub);
+  }
+
+  BitRef gate(const rtl::OpInfo& info, const BitRef& x, const BitRef& y) {
+    switch (info.gate) {
+      case rtl::Gate::kAnd: return lower_and(x, y);
+      case rtl::Gate::kOr: return lower_or(x, y);
+      default: return lower_xor(x, y);
+    }
+  }
+
+  // Whole-vector four-state forms: per-bit folds would lengthen the program.
+  BitRef reduce(const rtl::OpInfo& info, const std::vector<BitRef>& bits) {
+    switch (info.gate) {
+      case rtl::Gate::kAnd: return lower_red_and(bits);
+      case rtl::Gate::kOr: return lower_red_or(bits);
+      default: return lower_red_xor(bits);
+    }
   }
 
   void begin_program(Program* p) {
     cur_ = p;
-    expr_memo_.assign(static_cast<std::size_t>(module_->expr_count()), {});
-    expr_done_.assign(static_cast<std::size_t>(module_->expr_count()), false);
+    invalidate();
   }
 
   void store_net(rtl::NetId target, const std::vector<BitRef>& value) {
@@ -550,7 +494,7 @@ class Compiler {
     begin_program(&out_.comb_);
     for (const rtl::SchedNode& node : sched_.nodes) {
       if (!node.is_tristate_group) {
-        store_net(node.target, compile_expr(node.assign_values.front()));
+        store_net(node.target, eval(node.assign_values.front()));
         continue;
       }
       compile_tristate(node);
@@ -568,8 +512,8 @@ class Compiler {
     std::vector<BitRef> acc(static_cast<std::size_t>(width),
                             BitRef{kZeroSlot, kOnesSlot});
     for (std::size_t d = 0; d < node.tri_enables.size(); ++d) {
-      const BitRef en = compile_expr(node.tri_enables[d])[0];
-      const auto& val = compile_expr(node.assign_values[d]);
+      const BitRef en = eval(node.tri_enables[d])[0];
+      const auto& val = eval(node.assign_values[d]);
       const std::int32_t en1 = one_of(en);
       const std::int32_t en0 = zero_of(en);
       const std::int32_t en_u = en.b;
@@ -659,7 +603,7 @@ class Compiler {
     for (const rtl::Process& p : module_->processes()) {
       if (p.clock != clock || p.edge != edge) continue;
       for (const rtl::SeqAssign& sa : p.assigns) {
-        std::vector<BitRef> v = compile_expr(sa.value);
+        std::vector<BitRef> v = eval(sa.value);
         for (BitRef& bit : v) bit = snapshot(bit, mutated);
         commits.push_back(Commit{sa.target, std::move(v)});
       }
@@ -668,13 +612,13 @@ class Compiler {
         d.mem = w.mem;
         d.depth = module_->memories()[static_cast<std::size_t>(w.mem)].depth;
         d.width = module_->memories()[static_cast<std::size_t>(w.mem)].width;
-        d.addr = compile_expr(w.addr);
+        d.addr = eval(w.addr);
         for (BitRef& bit : d.addr) bit = snapshot(bit, mutated);
-        d.data = compile_expr(w.data);
+        d.data = eval(w.data);
         for (BitRef& bit : d.data) bit = snapshot(bit, mutated);
-        d.wen = snapshot(compile_expr(w.wen)[0], mutated);
+        d.wen = snapshot(eval(w.wen)[0], mutated);
         for (rtl::ExprId be : w.byte_enables) {
-          d.byte_enables.push_back(snapshot(compile_expr(be)[0], mutated));
+          d.byte_enables.push_back(snapshot(eval(be)[0], mutated));
         }
         out_.mem_writes_.push_back(std::move(d));
         writes.push_back(out_.mem_writes_.size() - 1);
@@ -700,8 +644,6 @@ class Compiler {
   rtl::TopoSchedule sched_;
   std::int32_t next_slot_ = 2;  // 0 = all-zero, 1 = all-ones
   Program* cur_ = nullptr;
-  std::vector<std::vector<BitRef>> expr_memo_;
-  std::vector<bool> expr_done_;
 };
 
 Compiled compile(const rtl::Module& flat, const plan::CompilePlan& plan) {

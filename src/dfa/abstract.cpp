@@ -70,28 +70,6 @@ Logic mux_x_bit(Logic t, Logic f) {
   return (t == f && rtl::is_01(t)) ? t : Logic::kX;
 }
 
-/// Abstract vec_eq. Concretely the result is k0 on any defined-bit
-/// mismatch, kX if any compared bit is X/Z, else k1; the abstraction adds
-/// each outcome exactly when some member valuation produces it.
-AbsBit abs_vec_eq(const AbsVec& a, const AbsVec& b) {
-  bool may_differ = false;    // some bit admits a defined 0-vs-1 mismatch
-  bool may_undef = false;     // some bit has an X/Z member
-  bool equal_possible = true; // every bit shares a defined member
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const AbsBit x = a[i];
-    const AbsBit y = b[i];
-    if (abs_is_01(x) && abs_is_01(y) && (x & y) == 0) return kAbs0;
-    if ((x & kAbs0 && y & kAbs1) || (x & kAbs1 && y & kAbs0)) may_differ = true;
-    if ((x & ~kAbs01) || (y & ~kAbs01)) may_undef = true;
-    if (((x & y) & kAbs01) == 0) equal_possible = false;
-  }
-  AbsBit out = 0;
-  if (may_differ) out = abs_join(out, kAbs0);
-  if (may_undef) out = abs_join(out, kAbsX);
-  if (equal_possible) out = abs_join(out, kAbs1);
-  return out;
-}
-
 bool all_singleton_01(const AbsVec& v) {
   for (AbsBit b : v) {
     if (b != kAbs0 && b != kAbs1) return false;
@@ -105,19 +83,6 @@ rtl::LVec to_lvec(const AbsVec& v) {
     out.set_bit(static_cast<int>(i), v[i] == kAbs1 ? Logic::k1 : Logic::k0);
   }
   return out;
-}
-
-Logic (*bit_op(rtl::Op op))(Logic, Logic) {
-  switch (op) {
-    case rtl::Op::kAnd:
-    case rtl::Op::kRedAnd:
-      return rtl::logic_and;
-    case rtl::Op::kOr:
-    case rtl::Op::kRedOr:
-      return rtl::logic_or;
-    default:
-      return rtl::logic_xor;
-  }
 }
 
 }  // namespace
@@ -152,125 +117,79 @@ AbsVec abs_of_lvec(const rtl::LVec& v) {
 
 AbsEvaluator::AbsEvaluator(const rtl::Module& m, const std::vector<AbsVec>& nets,
                            const std::vector<AbsVec>& mems)
-    : module_(m),
-      nets_(nets),
-      mems_(mems),
-      cache_(static_cast<std::size_t>(m.expr_count())),
-      stamp_of_(static_cast<std::size_t>(m.expr_count()), 0) {}
+    : BitWalk(m), module_(m), nets_(nets), mems_(mems) {}
 
-const AbsVec& AbsEvaluator::eval(rtl::ExprId id) {
-  auto& stamp = stamp_of_[static_cast<std::size_t>(id)];
-  auto& slot = cache_[static_cast<std::size_t>(id)];
-  if (stamp == stamp_) return slot;
-  slot = compute(module_.expr(id));
-  stamp = stamp_;
-  return slot;
+/// Abstract vec_eq. Concretely the result is k0 on any defined-bit
+/// mismatch, kX if any compared bit is X/Z, else k1; the abstraction adds
+/// each outcome exactly when some member valuation produces it.
+AbsBit AbsEvaluator::equal(const AbsVec& a, const AbsVec& b) {
+  bool may_differ = false;    // some bit admits a defined 0-vs-1 mismatch
+  bool may_undef = false;     // some bit has an X/Z member
+  bool equal_possible = true; // every bit shares a defined member
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const AbsBit x = a[i];
+    const AbsBit y = b[i];
+    if (abs_is_01(x) && abs_is_01(y) && (x & y) == 0) return kAbs0;
+    if ((x & kAbs0 && y & kAbs1) || (x & kAbs1 && y & kAbs0)) may_differ = true;
+    if ((x & ~kAbs01) || (y & ~kAbs01)) may_undef = true;
+    if (((x & y) & kAbs01) == 0) equal_possible = false;
+  }
+  AbsBit out = 0;
+  if (may_differ) out = abs_join(out, kAbs0);
+  if (may_undef) out = abs_join(out, kAbsX);
+  if (equal_possible) out = abs_join(out, kAbs1);
+  return out;
 }
 
-AbsVec AbsEvaluator::compute(const rtl::Expr& e) {
-  switch (e.op) {
-    case rtl::Op::kConst:
-      return abs_of_lvec(e.literal);
-    case rtl::Op::kNet:
-      return nets_[static_cast<std::size_t>(e.net)];
-    case rtl::Op::kNot: {
-      AbsVec a = eval(e.a);
-      for (AbsBit& b : a) b = lift1(b, rtl::logic_not);
-      return a;
-    }
-    case rtl::Op::kAnd:
-    case rtl::Op::kOr:
-    case rtl::Op::kXor: {
-      AbsVec out;
-      lift2_vec(out, eval(e.a), eval(e.b), bit_op(e.op));
-      return out;
-    }
-    case rtl::Op::kRedAnd:
-    case rtl::Op::kRedOr:
-    case rtl::Op::kRedXor: {
-      const AbsVec& a = eval(e.a);
-      Logic (*op)(Logic, Logic) = bit_op(e.op);
-      AbsBit acc = a.empty() ? kAbs0 : a[0];
-      for (std::size_t i = 1; i < a.size(); ++i) acc = lift2(acc, a[i], op);
-      return AbsVec{acc};
-    }
-    case rtl::Op::kEq:
-      return AbsVec{abs_vec_eq(eval(e.a), eval(e.b))};
-    case rtl::Op::kNe:
-      return AbsVec{lift1(abs_vec_eq(eval(e.a), eval(e.b)), rtl::logic_not)};
-    case rtl::Op::kMux: {
-      const AbsBit s = eval(e.a)[0];
-      const AbsVec t = eval(e.b);  // copies: eval may recurse and re-enter
-      const AbsVec f = eval(e.c);
-      AbsVec out(t.size(), 0);
-      if (s & kAbs1) join_into(out, t);
-      if (s & kAbs0) join_into(out, f);
-      if (s & (kAbsX | kAbsZ)) {
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          out[i] = abs_join(out[i], lift2(t[i], f[i], mux_x_bit));
-        }
-      }
-      return out;
-    }
-    case rtl::Op::kConcat: {
-      AbsVec out;
-      out.reserve(static_cast<std::size_t>(e.width));
-      // Parts are MSB-first; the output vector is LSB-first.
-      for (auto it = e.parts.rbegin(); it != e.parts.rend(); ++it) {
-        const AbsVec& part = eval(*it);
-        out.insert(out.end(), part.begin(), part.end());
-      }
-      return out;
-    }
-    case rtl::Op::kSlice: {
-      const AbsVec& a = eval(e.a);
-      return AbsVec(a.begin() + e.lo, a.begin() + e.lo + e.width);
-    }
-    case rtl::Op::kAdd:
-    case rtl::Op::kSub: {
-      const AbsVec& a = eval(e.a);
-      const AbsVec& b = eval(e.b);
-      if (all_singleton_01(a) && all_singleton_01(b)) {
-        const rtl::LVec r = e.op == rtl::Op::kAdd
-                                ? rtl::vec_add(to_lvec(a), to_lvec(b))
-                                : rtl::vec_sub(to_lvec(a), to_lvec(b));
-        return abs_of_lvec(r);
-      }
-      // Concretely any X/Z operand bit makes the sum all-X; all-defined
-      // valuations produce some (unknown) sum.
-      bool any_undef = false;
-      bool all_defined_possible = true;
-      for (const AbsVec* v : {&a, &b}) {
-        for (AbsBit x : *v) {
-          if (x & ~kAbs01) any_undef = true;
-          if ((x & kAbs01) == 0) all_defined_possible = false;
-        }
-      }
-      AbsBit fill = 0;
-      if (all_defined_possible) fill = abs_join(fill, kAbs01);
-      if (any_undef) fill = abs_join(fill, kAbsX);
-      return abs_all(static_cast<int>(a.size()), fill);
-    }
-    case rtl::Op::kMemRead: {
-      const AbsVec& addr = eval(e.a);
-      AbsVec out = mems_[static_cast<std::size_t>(e.mem)];
-      // The summary covers every word (unwritten words stay {0}, the
-      // summary's seed). An X/Z or out-of-range address reads all-X.
-      const int depth = module_.memories()[static_cast<std::size_t>(e.mem)].depth;
-      std::uint64_t max_addr = 0;
-      bool undef_possible = false;
-      for (std::size_t i = 0; i < addr.size(); ++i) {
-        if (addr[i] & ~kAbs01) undef_possible = true;
-        if (addr[i] & kAbs1) max_addr |= 1ull << i;
-      }
-      if (undef_possible ||
-          max_addr >= static_cast<std::uint64_t>(depth)) {
-        for (AbsBit& b : out) b = abs_join(b, kAbsX);
-      }
-      return out;
+AbsBit AbsEvaluator::mux_bit(AbsBit sel, AbsBit t, AbsBit f) {
+  AbsBit out = 0;
+  if (sel & kAbs1) out = abs_join(out, t);
+  if (sel & kAbs0) out = abs_join(out, f);
+  if (sel & (kAbsX | kAbsZ)) out = abs_join(out, lift2(t, f, mux_x_bit));
+  return out;
+}
+
+AbsVec AbsEvaluator::arith(const rtl::Expr& e) {
+  const AbsVec& a = eval(e.a);
+  const AbsVec& b = eval(e.b);
+  if (all_singleton_01(a) && all_singleton_01(b)) {
+    const rtl::LVec r = e.op == rtl::Op::kAdd
+                            ? rtl::vec_add(to_lvec(a), to_lvec(b))
+                            : rtl::vec_sub(to_lvec(a), to_lvec(b));
+    return abs_of_lvec(r);
+  }
+  // Concretely any X/Z operand bit makes the sum all-X; all-defined
+  // valuations produce some (unknown) sum.
+  bool any_undef = false;
+  bool all_defined_possible = true;
+  for (const AbsVec* v : {&a, &b}) {
+    for (AbsBit x : *v) {
+      if (x & ~kAbs01) any_undef = true;
+      if ((x & kAbs01) == 0) all_defined_possible = false;
     }
   }
-  throw std::logic_error("dfa: unhandled Op");
+  AbsBit fill = 0;
+  if (all_defined_possible) fill = abs_join(fill, kAbs01);
+  if (any_undef) fill = abs_join(fill, kAbsX);
+  return abs_all(static_cast<int>(a.size()), fill);
+}
+
+AbsVec AbsEvaluator::mem_read(const rtl::Expr& e) {
+  const AbsVec& addr = eval(e.a);
+  AbsVec out = mems_[static_cast<std::size_t>(e.mem)];
+  // The summary covers every word (unwritten words stay {0}, the
+  // summary's seed). An X/Z or out-of-range address reads all-X.
+  const int depth = module_.memories()[static_cast<std::size_t>(e.mem)].depth;
+  std::uint64_t max_addr = 0;
+  bool undef_possible = false;
+  for (std::size_t i = 0; i < addr.size(); ++i) {
+    if (addr[i] & ~kAbs01) undef_possible = true;
+    if (addr[i] & kAbs1) max_addr |= 1ull << i;
+  }
+  if (undef_possible || max_addr >= static_cast<std::uint64_t>(depth)) {
+    for (AbsBit& b : out) b = abs_join(b, kAbsX);
+  }
+  return out;
 }
 
 AbsSim::AbsSim(const rtl::Module& flat)

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "rtl/bitwalk.hpp"
 #include "rtl/netlist.hpp"
 
 namespace la1::dfa {
@@ -60,30 +61,39 @@ inline bool abs_may_xz(AbsBit b) { return (b & (kAbsX | kAbsZ)) != 0; }
 /// Per-bit singleton sets for a concrete vector.
 AbsVec abs_of_lvec(const rtl::LVec& v);
 
-/// Abstract mirror of CycleSim::eval_expr, memoized per settle pass: every
-/// operator is the pointwise lift of the concrete one over `nets`/`mems`
+/// Abstract mirror of CycleSim::eval_expr, memoized per settle pass: the
+/// shared bit walk (rtl/bitwalk.hpp) over per-bit value sets, every
+/// operator the pointwise lift of the concrete one over `nets`/`mems`
 /// (which the caller owns and may mutate between passes — call
 /// begin_pass() to invalidate the memo). Exposed so consumers beyond the
 /// fixpoint (the compile planner's legality rules, say) can ask what an
 /// expression can evaluate to under a set of facts.
-class AbsEvaluator {
+class AbsEvaluator : public rtl::BitWalk<AbsEvaluator, AbsBit> {
  public:
   AbsEvaluator(const rtl::Module& m, const std::vector<AbsVec>& nets,
                const std::vector<AbsVec>& mems);
 
   /// Invalidates the memo; call whenever net/memory sets may have changed.
-  void begin_pass() { ++stamp_; }
-  const AbsVec& eval(rtl::ExprId id);
+  void begin_pass() { invalidate(); }
 
  private:
-  AbsVec compute(const rtl::Expr& e);
+  friend class rtl::BitWalk<AbsEvaluator, AbsBit>;
+
+  AbsVec literal(const rtl::LVec& v) { return abs_of_lvec(v); }
+  AbsVec net(rtl::NetId id) { return nets_[static_cast<std::size_t>(id)]; }
+  AbsVec mem_read(const rtl::Expr& e);
+  AbsVec arith(const rtl::Expr& e);
+  AbsBit constant(rtl::Logic v) { return abs_of(v); }
+  AbsBit not_bit(AbsBit a) { return abs_lift1(a, rtl::logic_not); }
+  AbsBit gate(const rtl::OpInfo& info, AbsBit a, AbsBit b) {
+    return abs_lift2(a, b, info.bit);
+  }
+  AbsBit mux_bit(AbsBit sel, AbsBit t, AbsBit f);
+  AbsBit equal(const AbsVec& a, const AbsVec& b);
 
   const rtl::Module& module_;
   const std::vector<AbsVec>& nets_;
   const std::vector<AbsVec>& mems_;
-  std::vector<AbsVec> cache_;
-  std::vector<unsigned> stamp_of_;
-  unsigned stamp_ = 1;  // above the stamp_of_ seed: nothing memoized yet
 };
 
 /// The abstract machine both dataflow clients drive: per-net value sets

@@ -188,41 +188,33 @@ dfa::AbsBit DepGraph::eval_abs(rtl::ExprId e, int bit) const {
       r = dfa::abs_lift1(eval_abs(x.a, bit), rtl::logic_not);
       break;
     case rtl::Op::kAnd:
-      r = dfa::abs_lift2(eval_abs(x.a, bit), eval_abs(x.b, bit),
-                         rtl::logic_and);
-      break;
     case rtl::Op::kOr:
-      r = dfa::abs_lift2(eval_abs(x.a, bit), eval_abs(x.b, bit),
-                         rtl::logic_or);
-      break;
     case rtl::Op::kXor:
       r = dfa::abs_lift2(eval_abs(x.a, bit), eval_abs(x.b, bit),
-                         rtl::logic_xor);
+                         rtl::op_info(x.op).bit);
       break;
     case rtl::Op::kRedAnd:
     case rtl::Op::kRedOr:
     case rtl::Op::kRedXor: {
-      rtl::Logic (*op)(rtl::Logic, rtl::Logic) =
-          x.op == rtl::Op::kRedAnd
-              ? rtl::logic_and
-              : (x.op == rtl::Op::kRedOr ? rtl::logic_or : rtl::logic_xor);
       const rtl::Expr& a = mod_->expr(x.a);
       r = eval_abs(x.a, 0);
       for (int i = 1; i < a.width; ++i) {
-        r = dfa::abs_lift2(r, eval_abs(x.a, i), op);
+        r = dfa::abs_lift2(r, eval_abs(x.a, i), rtl::op_info(x.op).bit);
       }
       break;
     }
     case rtl::Op::kEq:
     case rtl::Op::kNe: {
+      // And-fold of per-bit xnor lifts: coarser than dfa's vec_eq mirror.
+      const rtl::OpInfo& and_row = rtl::op_info(rtl::Op::kAnd);
       const rtl::Expr& a = mod_->expr(x.a);
-      r = dfa::kAbs1;  // and-fold of per-bit xnor lifts
+      r = dfa::abs_of(and_row.identity);
       for (int i = 0; i < a.width; ++i) {
         const dfa::AbsBit same = dfa::abs_lift1(
             dfa::abs_lift2(eval_abs(x.a, i), eval_abs(x.b, i),
-                           rtl::logic_xor),
+                           rtl::op_info(rtl::Op::kXor).bit),
             rtl::logic_not);
-        r = dfa::abs_lift2(r, same, rtl::logic_and);
+        r = dfa::abs_lift2(r, same, and_row.bit);
       }
       if (x.op == rtl::Op::kNe) r = dfa::abs_lift1(r, rtl::logic_not);
       break;
@@ -294,21 +286,15 @@ void DepGraph::collect(rtl::ExprId e, int bit, int to, bool control,
       collect(x.a, bit, to, control, seq);
       return;
     case rtl::Op::kAnd:
-    case rtl::Op::kOr: {
+    case rtl::Op::kOr:
+    case rtl::Op::kXor: {
       // A controlling constant was cut above; a neutral constant operand
-      // (AND-with-1, OR-with-0) passes only the other side through.
-      const dfa::AbsBit a = eval_abs(x.a, bit);
-      const dfa::AbsBit b = eval_abs(x.b, bit);
-      const dfa::AbsBit neutral =
-          x.op == rtl::Op::kAnd ? dfa::kAbs1 : dfa::kAbs0;
-      if (a != neutral) collect(x.a, bit, to, control, seq);
-      if (b != neutral) collect(x.b, bit, to, control, seq);
+      // (AND-with-1, OR/XOR-with-0) passes only the other side through.
+      const dfa::AbsBit neutral = dfa::abs_of(rtl::op_info(x.op).identity);
+      if (eval_abs(x.a, bit) != neutral) collect(x.a, bit, to, control, seq);
+      if (eval_abs(x.b, bit) != neutral) collect(x.b, bit, to, control, seq);
       return;
     }
-    case rtl::Op::kXor:
-      collect(x.a, bit, to, control, seq);
-      collect(x.b, bit, to, control, seq);
-      return;
     case rtl::Op::kRedAnd:
     case rtl::Op::kRedOr:
     case rtl::Op::kRedXor: {

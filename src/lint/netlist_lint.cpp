@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "rtl/schedule.hpp"
+#include "rtl/verilog.hpp"
 
 namespace la1::lint {
 
@@ -23,43 +24,10 @@ using rtl::NetId;
 using rtl::NetKind;
 using rtl::Op;
 
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kConst: return "const";
-    case Op::kNet: return "net";
-    case Op::kNot: return "not";
-    case Op::kAnd: return "and";
-    case Op::kOr: return "or";
-    case Op::kXor: return "xor";
-    case Op::kRedAnd: return "red_and";
-    case Op::kRedOr: return "red_or";
-    case Op::kRedXor: return "red_xor";
-    case Op::kEq: return "eq";
-    case Op::kNe: return "ne";
-    case Op::kMux: return "mux";
-    case Op::kConcat: return "concat";
-    case Op::kSlice: return "slice";
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kMemRead: return "mem_read";
-  }
-  return "?";
-}
-
 int ceil_log2(int n) {
   int bits = 0;
   while ((1 << bits) < n) ++bits;
   return bits == 0 ? 1 : bits;  // depth 1 still needs one address bit
-}
-
-/// Mirrors the Verilog emitter's character replacement (verilog.cpp); the
-/// collision rule must agree with it on the base form.
-std::string sanitized(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    if (c == '.' || c == '#') c = '_';
-  }
-  return out;
 }
 
 /// Walks all analyses over one flat module.
@@ -255,9 +223,10 @@ class NetlistLinter {
   int width_of(ExprId id) const { return m_->expr(id).width; }
 
   void expr_width_error(ExprId id, const std::string& why) {
-    const Expr& e = m_->expr(id);
     report_.add("NET-WIDTH", Severity::kError,
-                "expr#" + std::to_string(id) + "(" + op_name(e.op) + ")", why);
+                "expr#" + std::to_string(id) + "(" +
+                    rtl::op_info(m_->expr(id).op).name + ")",
+                why);
   }
 
   void check_mem_addr(ExprId addr, rtl::MemId mem, const char* port) {
@@ -279,103 +248,16 @@ class NetlistLinter {
     }
   }
 
-  /// Full width-inference walk: recompute every expression's width from its
-  /// operands and compare with the stored width. The builder checks most of
-  /// these at construction, but post-transform IR (and the unchecked memory
-  /// address ports) can disagree.
+  /// Every expression against its operator's width rule (rtl/op.hpp). The
+  /// builder enforces the same rule at construction; the unchecked memory
+  /// address ports get their own NET-MEM-ADDR rule.
   void check_widths() {
     for (ExprId id = 0; id < m_->expr_count(); ++id) {
       const Expr& e = m_->expr(id);
-      switch (e.op) {
-        case Op::kConst:
-          if (e.literal.width() != e.width) {
-            expr_width_error(id, "literal is " +
-                                     std::to_string(e.literal.width()) +
-                                     " bits, node says " +
-                                     std::to_string(e.width));
-          }
-          break;
-        case Op::kNet:
-          if (m_->net(e.net).width != e.width) {
-            expr_width_error(id, "references " + std::to_string(e.width) +
-                                     " bits of " +
-                                     std::to_string(m_->net(e.net).width) +
-                                     "-bit net " + m_->net(e.net).name);
-          }
-          break;
-        case Op::kNot:
-          if (width_of(e.a) != e.width) {
-            expr_width_error(id, "operand/result width mismatch");
-          }
-          break;
-        case Op::kAnd:
-        case Op::kOr:
-        case Op::kXor:
-        case Op::kAdd:
-        case Op::kSub:
-          if (width_of(e.a) != width_of(e.b) || width_of(e.a) != e.width) {
-            expr_width_error(id, "operands are " +
-                                     std::to_string(width_of(e.a)) + " and " +
-                                     std::to_string(width_of(e.b)) +
-                                     " bits, result says " +
-                                     std::to_string(e.width));
-          }
-          break;
-        case Op::kRedAnd:
-        case Op::kRedOr:
-        case Op::kRedXor:
-          if (e.width != 1) expr_width_error(id, "reduction must be 1 bit");
-          break;
-        case Op::kEq:
-        case Op::kNe:
-          if (width_of(e.a) != width_of(e.b)) {
-            expr_width_error(id, "comparison of " +
-                                     std::to_string(width_of(e.a)) + " vs " +
-                                     std::to_string(width_of(e.b)) + " bits");
-          }
-          if (e.width != 1) expr_width_error(id, "comparison must be 1 bit");
-          break;
-        case Op::kMux:
-          if (width_of(e.a) != 1) expr_width_error(id, "select must be 1 bit");
-          if (width_of(e.b) != width_of(e.c) || width_of(e.b) != e.width) {
-            expr_width_error(id, "branches are " +
-                                     std::to_string(width_of(e.b)) + " and " +
-                                     std::to_string(width_of(e.c)) +
-                                     " bits, result says " +
-                                     std::to_string(e.width));
-          }
-          break;
-        case Op::kConcat: {
-          int sum = 0;
-          for (ExprId p : e.parts) sum += width_of(p);
-          if (sum != e.width) {
-            expr_width_error(id, "parts sum to " + std::to_string(sum) +
-                                     " bits, result says " +
-                                     std::to_string(e.width));
-          }
-          break;
-        }
-        case Op::kSlice:
-          if (e.lo < 0 || e.width <= 0 || e.lo + e.width > width_of(e.a)) {
-            expr_width_error(id, "slice [" + std::to_string(e.lo) + ", " +
-                                     std::to_string(e.lo + e.width) +
-                                     ") exceeds " +
-                                     std::to_string(width_of(e.a)) +
-                                     "-bit operand");
-          }
-          break;
-        case Op::kMemRead: {
-          const auto& memory = m_->memories()[static_cast<std::size_t>(e.mem)];
-          if (e.width != memory.width) {
-            expr_width_error(id, "reads " + std::to_string(e.width) +
-                                     " bits from " +
-                                     std::to_string(memory.width) +
-                                     "-bit memory " + memory.name);
-          }
-          check_mem_addr(e.a, e.mem, "read port");
-          break;
-        }
+      if (const std::string why = rtl::width_violation(*m_, e); !why.empty()) {
+        expr_width_error(id, why);
       }
+      if (e.op == Op::kMemRead) check_mem_addr(e.a, e.mem, "read port");
     }
 
     // Structural sinks: target widths must match their value expressions.
@@ -532,7 +414,7 @@ class NetlistLinter {
   void check_name_collisions() {
     std::map<std::string, std::string> first;  // sanitized -> original
     auto claim = [&](const std::string& name, const char* what) {
-      const std::string s = sanitized(name);
+      const std::string s = rtl::verilog_base_name(name);
       auto [it, fresh] = first.emplace(s, name);
       if (!fresh && it->second != name) {
         report_.add("NET-NAME-COLLISION", Severity::kWarning, name,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "rtl/bitwalk.hpp"
+
 namespace la1::rtl {
 
 BitGraph::BitGraph() {
@@ -101,18 +103,34 @@ bool BitGraph::eval(int id, const std::vector<bool>& assignment) const {
 
 namespace {
 
-class Blaster {
+class Blaster : public BitWalk<Blaster, int> {
  public:
   Blaster(const Module& m, const std::vector<ClockStep>& schedule)
-      : m_(&m), schedule_(&schedule) {}
+      : BitWalk(m), m_(&m), schedule_(&schedule) {}
 
   BitBlast run();
 
  private:
-  using Bits = std::vector<int>;
+  friend class BitWalk<Blaster, int>;
+
+  // --- the walk's graph domain ------------------------------------------
+  Bits literal(const LVec& v);
+  Bits net(NetId id) { return net_fn(id); }
+  Bits mem_read(const Expr& e);
+  Bits arith(const Expr& e);
+  int constant(Logic v) { return out_.graph.constant(v == Logic::k1); }
+  int not_bit(int a) { return out_.graph.not_of(a); }
+  int gate(const OpInfo& info, int a, int b) {
+    BitGraph& g = out_.graph;
+    switch (info.gate) {
+      case Gate::kAnd: return g.and_of(a, b);
+      case Gate::kOr: return g.or_of(a, b);
+      default: return g.xor_of(a, b);
+    }
+  }
+  int mux_bit(int sel, int t, int f) { return out_.graph.mux(sel, t, f); }
 
   const Bits& net_fn(NetId id);
-  const Bits& expr_fn(ExprId id);
   Bits add_words(const Bits& a, const Bits& b, int carry_in);
   int phase_eq(int step);
 
@@ -121,113 +139,29 @@ class Blaster {
   BitBlast out_;
   std::vector<Bits> net_memo_;
   std::vector<bool> net_busy_;
-  std::vector<Bits> expr_memo_;
   std::vector<int> phase_var_nodes_;
   std::vector<bool> is_clock_;
 };
 
-const Blaster::Bits& Blaster::expr_fn(ExprId id) {
-  Bits& memo = expr_memo_[static_cast<std::size_t>(id)];
-  if (!memo.empty()) return memo;
-  const Expr& e = m_->expr(id);
-  BitGraph& g = out_.graph;
-  Bits bits(static_cast<std::size_t>(e.width), 0);
-  switch (e.op) {
-    case Op::kConst: {
-      if (!e.literal.all_01()) {
-        throw std::invalid_argument("bitblast: X/Z literal");
-      }
-      for (int i = 0; i < e.width; ++i) {
-        bits[static_cast<std::size_t>(i)] =
-            g.constant(e.literal.bit(i) == Logic::k1);
-      }
-      break;
-    }
-    case Op::kNet: bits = net_fn(e.net); break;
-    case Op::kNot: {
-      const Bits& a = expr_fn(e.a);
-      for (int i = 0; i < e.width; ++i) {
-        bits[static_cast<std::size_t>(i)] = g.not_of(a[static_cast<std::size_t>(i)]);
-      }
-      break;
-    }
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor: {
-      const Bits& a = expr_fn(e.a);
-      const Bits& b = expr_fn(e.b);
-      for (int i = 0; i < e.width; ++i) {
-        const int x = a[static_cast<std::size_t>(i)];
-        const int y = b[static_cast<std::size_t>(i)];
-        bits[static_cast<std::size_t>(i)] =
-            e.op == Op::kAnd ? g.and_of(x, y)
-            : e.op == Op::kOr ? g.or_of(x, y)
-                              : g.xor_of(x, y);
-      }
-      break;
-    }
-    case Op::kRedAnd:
-    case Op::kRedOr:
-    case Op::kRedXor: {
-      const Bits& a = expr_fn(e.a);
-      int acc = e.op == Op::kRedAnd ? 1 : 0;
-      for (int n : a) {
-        acc = e.op == Op::kRedAnd ? g.and_of(acc, n)
-              : e.op == Op::kRedOr ? g.or_of(acc, n)
-                                   : g.xor_of(acc, n);
-      }
-      bits[0] = acc;
-      break;
-    }
-    case Op::kEq:
-    case Op::kNe: {
-      const Bits& a = expr_fn(e.a);
-      const Bits& b = expr_fn(e.b);
-      int acc = 1;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        acc = g.and_of(acc, g.not_of(g.xor_of(a[i], b[i])));
-      }
-      bits[0] = e.op == Op::kEq ? acc : g.not_of(acc);
-      break;
-    }
-    case Op::kMux: {
-      const int sel = expr_fn(e.a)[0];
-      const Bits& t = expr_fn(e.b);
-      const Bits& f = expr_fn(e.c);
-      for (int i = 0; i < e.width; ++i) {
-        bits[static_cast<std::size_t>(i)] =
-            g.mux(sel, t[static_cast<std::size_t>(i)], f[static_cast<std::size_t>(i)]);
-      }
-      break;
-    }
-    case Op::kConcat: {
-      std::size_t at = 0;
-      for (auto it = e.parts.rbegin(); it != e.parts.rend(); ++it) {
-        const Bits& p = expr_fn(*it);
-        for (int n : p) bits[at++] = n;
-      }
-      break;
-    }
-    case Op::kSlice: {
-      const Bits& a = expr_fn(e.a);
-      for (int i = 0; i < e.width; ++i) {
-        bits[static_cast<std::size_t>(i)] = a[static_cast<std::size_t>(e.lo + i)];
-      }
-      break;
-    }
-    case Op::kAdd: bits = add_words(expr_fn(e.a), expr_fn(e.b), 0); break;
-    case Op::kSub: {
-      Bits nb = expr_fn(e.b);
-      for (int& n : nb) n = out_.graph.not_of(n);
-      bits = add_words(expr_fn(e.a), nb, 1);
-      break;
-    }
-    case Op::kMemRead:
-      throw std::invalid_argument(
-          "bitblast: memory not expanded (run expand_memories first)");
+Blaster::Bits Blaster::literal(const LVec& v) {
+  if (!v.all_01()) throw std::invalid_argument("bitblast: X/Z literal");
+  Bits bits(static_cast<std::size_t>(v.width()));
+  for (int i = 0; i < v.width(); ++i) {
+    bits[static_cast<std::size_t>(i)] = constant(v.bit(i));
   }
-  memo = std::move(bits);
-  return memo;
+  return bits;
+}
+
+Blaster::Bits Blaster::mem_read(const Expr&) {
+  throw std::invalid_argument(
+      "bitblast: memory not expanded (run expand_memories first)");
+}
+
+Blaster::Bits Blaster::arith(const Expr& e) {
+  if (e.op == Op::kAdd) return add_words(eval(e.a), eval(e.b), 0);
+  Bits nb = eval(e.b);
+  for (int& n : nb) n = not_bit(n);
+  return add_words(eval(e.a), nb, 1);
 }
 
 Blaster::Bits Blaster::add_words(const Bits& a, const Bits& b, int carry_in) {
@@ -273,7 +207,7 @@ const Blaster::Bits& Blaster::net_fn(NetId id) {
       }
     }
     if (driver != nullptr) {
-      bits = expr_fn(driver->value);
+      bits = eval(driver->value);
     } else {
       std::vector<const TriDriver*> drivers;
       for (const TriDriver& t : m_->tristates()) {
@@ -286,9 +220,9 @@ const Blaster::Bits& Blaster::net_fn(NetId id) {
       bits.assign(static_cast<std::size_t>(n.width), 0);
       std::vector<int> enables;
       for (const TriDriver* t : drivers) {
-        const int en = expr_fn(t->enable)[0];
+        const int en = eval(t->enable)[0];
         enables.push_back(en);
-        const Bits& v = expr_fn(t->value);
+        const Bits& v = eval(t->value);
         for (int i = 0; i < n.width; ++i) {
           bits[static_cast<std::size_t>(i)] =
               g.or_of(bits[static_cast<std::size_t>(i)],
@@ -333,7 +267,6 @@ BitBlast Blaster::run() {
 
   net_memo_.resize(static_cast<std::size_t>(m_->net_count()));
   net_busy_.assign(static_cast<std::size_t>(m_->net_count()), false);
-  expr_memo_.resize(static_cast<std::size_t>(m_->expr_count()));
   is_clock_.assign(static_cast<std::size_t>(m_->net_count()), false);
   for (const ClockStep& s : *schedule_) {
     is_clock_[static_cast<std::size_t>(s.clock)] = true;
@@ -404,7 +337,7 @@ BitBlast Blaster::run() {
       if (p.clock != step.clock || p.edge != step.edge) continue;
       for (const SeqAssign& sa : p.assigns) {
         const Net& target = m_->net(sa.target);
-        const Bits& value = expr_fn(sa.value);
+        const Bits& value = eval(sa.value);
         for (int i = 0; i < target.width; ++i) {
           const int si = state_index_of(target.name, i);
           out_.next_fn[static_cast<std::size_t>(si)] =

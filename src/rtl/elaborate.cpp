@@ -1,5 +1,6 @@
 // Hierarchy flattening and memory expansion.
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -7,6 +8,19 @@
 #include "rtl/netlist.hpp"
 
 namespace la1::rtl {
+
+/// Copies `e` into `out` with its net, memory and operand ids remapped
+/// (operands through `exprmap`, which must already hold them).
+ExprId copy_expr(Module& out, Expr e, const std::vector<NetId>& netmap,
+                 const std::vector<MemId>& memmap,
+                 const std::vector<ExprId>& exprmap) {
+  if (e.net != kInvalidId) e.net = netmap[static_cast<std::size_t>(e.net)];
+  if (e.mem != kInvalidId) e.mem = memmap[static_cast<std::size_t>(e.mem)];
+  for_each_operand(e, [&exprmap](ExprId& id) {
+    id = exprmap[static_cast<std::size_t>(id)];
+  });
+  return out.push(std::move(e));
+}
 
 namespace {
 
@@ -52,45 +66,14 @@ void flatten_into(Module& out, const Module& m, const std::string& prefix,
 
   // Expressions reference only lower-id operands (builder order), so one
   // forward pass suffices.
-  std::vector<ExprId> exprmap(static_cast<std::size_t>(m.expr_count()),
-                              kInvalidId);
+  std::vector<ExprId> exprmap;
+  exprmap.reserve(static_cast<std::size_t>(m.expr_count()));
+  for (ExprId id = 0; id < m.expr_count(); ++id) {
+    exprmap.push_back(copy_expr(out, m.expr(id), netmap, memmap, exprmap));
+  }
   auto mapped = [&exprmap](ExprId id) {
     return id == kInvalidId ? kInvalidId : exprmap[static_cast<std::size_t>(id)];
   };
-  for (ExprId id = 0; id < m.expr_count(); ++id) {
-    const Expr& e = m.expr(id);
-    ExprId copy = kInvalidId;
-    switch (e.op) {
-      case Op::kConst: copy = out.lit(e.literal); break;
-      case Op::kNet: copy = out.ref(netmap[static_cast<std::size_t>(e.net)]); break;
-      case Op::kNot: copy = out.op_not(mapped(e.a)); break;
-      case Op::kAnd: copy = out.op_and(mapped(e.a), mapped(e.b)); break;
-      case Op::kOr: copy = out.op_or(mapped(e.a), mapped(e.b)); break;
-      case Op::kXor: copy = out.op_xor(mapped(e.a), mapped(e.b)); break;
-      case Op::kRedAnd: copy = out.red_and(mapped(e.a)); break;
-      case Op::kRedOr: copy = out.red_or(mapped(e.a)); break;
-      case Op::kRedXor: copy = out.red_xor(mapped(e.a)); break;
-      case Op::kEq: copy = out.eq(mapped(e.a), mapped(e.b)); break;
-      case Op::kNe: copy = out.ne(mapped(e.a), mapped(e.b)); break;
-      case Op::kMux:
-        copy = out.mux(mapped(e.a), mapped(e.b), mapped(e.c));
-        break;
-      case Op::kConcat: {
-        std::vector<ExprId> parts;
-        parts.reserve(e.parts.size());
-        for (ExprId p : e.parts) parts.push_back(mapped(p));
-        copy = out.concat(parts);
-        break;
-      }
-      case Op::kSlice: copy = out.slice(mapped(e.a), e.lo, e.width); break;
-      case Op::kAdd: copy = out.add(mapped(e.a), mapped(e.b)); break;
-      case Op::kSub: copy = out.sub(mapped(e.a), mapped(e.b)); break;
-      case Op::kMemRead:
-        copy = out.mem_read(memmap[static_cast<std::size_t>(e.mem)], mapped(e.a));
-        break;
-    }
-    exprmap[static_cast<std::size_t>(id)] = copy;
-  }
 
   for (const ContAssign& a : m.assigns()) {
     out.assign(netmap[static_cast<std::size_t>(a.target)], mapped(a.value));
@@ -161,59 +144,34 @@ Module expand_memories(const Module& flat) {
     }
   }
 
-  std::vector<ExprId> exprmap(static_cast<std::size_t>(flat.expr_count()),
-                              kInvalidId);
+  std::vector<NetId> same_net(static_cast<std::size_t>(flat.net_count()));
+  std::iota(same_net.begin(), same_net.end(), 0);
+  std::vector<ExprId> exprmap;
+  exprmap.reserve(static_cast<std::size_t>(flat.expr_count()));
+  for (ExprId id = 0; id < flat.expr_count(); ++id) {
+    const Expr& e = flat.expr(id);
+    if (e.op != Op::kMemRead) {
+      exprmap.push_back(copy_expr(out, e, same_net, {}, exprmap));
+      continue;
+    }
+    // Read mux chain over the word registers; out-of-range addresses
+    // select the last word (model-checking configs size the address
+    // exactly, so the case never arises there).
+    const Memory& mem = flat.memories()[static_cast<std::size_t>(e.mem)];
+    const std::vector<NetId>& word = words[static_cast<std::size_t>(e.mem)];
+    const ExprId addr = exprmap[static_cast<std::size_t>(e.a)];
+    const int aw = flat.expr(e.a).width;
+    ExprId acc = out.ref(word.back());
+    for (int w = mem.depth - 2; w >= 0; --w) {
+      const ExprId sel =
+          out.eq(addr, out.lit_uint(static_cast<std::uint64_t>(w), aw));
+      acc = out.mux(sel, out.ref(word[static_cast<std::size_t>(w)]), acc);
+    }
+    exprmap.push_back(acc);
+  }
   auto mapped = [&exprmap](ExprId id) {
     return id == kInvalidId ? kInvalidId : exprmap[static_cast<std::size_t>(id)];
   };
-  for (ExprId id = 0; id < flat.expr_count(); ++id) {
-    const Expr& e = flat.expr(id);
-    ExprId copy = kInvalidId;
-    switch (e.op) {
-      case Op::kConst: copy = out.lit(e.literal); break;
-      case Op::kNet: copy = out.ref(e.net); break;
-      case Op::kNot: copy = out.op_not(mapped(e.a)); break;
-      case Op::kAnd: copy = out.op_and(mapped(e.a), mapped(e.b)); break;
-      case Op::kOr: copy = out.op_or(mapped(e.a), mapped(e.b)); break;
-      case Op::kXor: copy = out.op_xor(mapped(e.a), mapped(e.b)); break;
-      case Op::kRedAnd: copy = out.red_and(mapped(e.a)); break;
-      case Op::kRedOr: copy = out.red_or(mapped(e.a)); break;
-      case Op::kRedXor: copy = out.red_xor(mapped(e.a)); break;
-      case Op::kEq: copy = out.eq(mapped(e.a), mapped(e.b)); break;
-      case Op::kNe: copy = out.ne(mapped(e.a), mapped(e.b)); break;
-      case Op::kMux: copy = out.mux(mapped(e.a), mapped(e.b), mapped(e.c)); break;
-      case Op::kConcat: {
-        std::vector<ExprId> parts;
-        parts.reserve(e.parts.size());
-        for (ExprId p : e.parts) parts.push_back(mapped(p));
-        copy = out.concat(parts);
-        break;
-      }
-      case Op::kSlice: copy = out.slice(mapped(e.a), e.lo, e.width); break;
-      case Op::kAdd: copy = out.add(mapped(e.a), mapped(e.b)); break;
-      case Op::kSub: copy = out.sub(mapped(e.a), mapped(e.b)); break;
-      case Op::kMemRead: {
-        // Read mux chain over the word registers; out-of-range addresses
-        // select the last word (model-checking configs size the address
-        // exactly, so the case never arises there).
-        const Memory& mem = flat.memories()[static_cast<std::size_t>(e.mem)];
-        const ExprId addr = mapped(e.a);
-        const int aw = flat.expr(e.a).width;
-        ExprId acc = out.ref(words[static_cast<std::size_t>(e.mem)].back());
-        for (int w = mem.depth - 2; w >= 0; --w) {
-          const ExprId sel = out.eq(
-              addr, out.lit_uint(static_cast<std::uint64_t>(w), aw));
-          acc = out.mux(
-              sel, out.ref(words[static_cast<std::size_t>(e.mem)]
-                               [static_cast<std::size_t>(w)]),
-              acc);
-        }
-        copy = acc;
-        break;
-      }
-    }
-    exprmap[static_cast<std::size_t>(id)] = copy;
-  }
 
   for (const ContAssign& a : flat.assigns()) out.assign(a.target, mapped(a.value));
   for (const TriDriver& t : flat.tristates()) {

@@ -55,12 +55,6 @@ int Module::expr_width(ExprId id) const {
   return exprs_.at(static_cast<std::size_t>(id)).width;
 }
 
-void Module::check_width(ExprId a, ExprId b, const char* what) const {
-  if (expr_width(a) != expr_width(b)) {
-    throw std::invalid_argument(std::string("width mismatch in ") + what);
-  }
-}
-
 void Module::check_bit(ExprId a, const char* what) const {
   if (expr_width(a) != 1) {
     throw std::invalid_argument(std::string("expected 1-bit operand in ") + what);
@@ -68,14 +62,28 @@ void Module::check_bit(ExprId a, const char* what) const {
 }
 
 ExprId Module::push(Expr e) {
+  e.width = result_width(*this, e);
+  if (const std::string why = width_violation(*this, e); !why.empty()) {
+    throw std::invalid_argument(std::string(op_info(e.op).name) + ": " + why);
+  }
   exprs_.push_back(std::move(e));
   return static_cast<ExprId>(exprs_.size() - 1);
 }
 
-ExprId Module::lit(const LVec& value) {
+namespace {
+Expr node(Op op, ExprId a = kInvalidId, ExprId b = kInvalidId,
+          ExprId c = kInvalidId) {
   Expr e;
-  e.op = Op::kConst;
-  e.width = value.width();
+  e.op = op;
+  e.a = a;
+  e.b = b;
+  e.c = c;
+  return e;
+}
+}  // namespace
+
+ExprId Module::lit(const LVec& value) {
+  Expr e = node(Op::kConst);
   e.literal = value;
   return push(std::move(e));
 }
@@ -85,9 +93,7 @@ ExprId Module::lit_uint(std::uint64_t value, int width) {
 }
 
 ExprId Module::ref(NetId net_id) {
-  Expr e;
-  e.op = Op::kNet;
-  e.width = net(net_id).width;
+  Expr e = node(Op::kNet);
   e.net = net_id;
   return push(std::move(e));
 }
@@ -98,124 +104,38 @@ ExprId Module::ref(const std::string& net_name) {
   return ref(id);
 }
 
-ExprId Module::op_not(ExprId a) {
-  Expr e;
-  e.op = Op::kNot;
-  e.width = expr_width(a);
-  e.a = a;
-  return push(std::move(e));
-}
-
-namespace {
-Expr binary(Op op, int width, ExprId a, ExprId b) {
-  Expr e;
-  e.op = op;
-  e.width = width;
-  e.a = a;
-  e.b = b;
-  return e;
-}
-}  // namespace
-
-ExprId Module::op_and(ExprId a, ExprId b) {
-  check_width(a, b, "and");
-  return push(binary(Op::kAnd, expr_width(a), a, b));
-}
-
-ExprId Module::op_or(ExprId a, ExprId b) {
-  check_width(a, b, "or");
-  return push(binary(Op::kOr, expr_width(a), a, b));
-}
-
-ExprId Module::op_xor(ExprId a, ExprId b) {
-  check_width(a, b, "xor");
-  return push(binary(Op::kXor, expr_width(a), a, b));
-}
-
-ExprId Module::red_and(ExprId a) {
-  Expr e;
-  e.op = Op::kRedAnd;
-  e.width = 1;
-  e.a = a;
-  return push(std::move(e));
-}
-
-ExprId Module::red_or(ExprId a) {
-  Expr e;
-  e.op = Op::kRedOr;
-  e.width = 1;
-  e.a = a;
-  return push(std::move(e));
-}
-
-ExprId Module::red_xor(ExprId a) {
-  Expr e;
-  e.op = Op::kRedXor;
-  e.width = 1;
-  e.a = a;
-  return push(std::move(e));
-}
-
-ExprId Module::eq(ExprId a, ExprId b) {
-  check_width(a, b, "eq");
-  return push(binary(Op::kEq, 1, a, b));
-}
-
-ExprId Module::ne(ExprId a, ExprId b) {
-  check_width(a, b, "ne");
-  return push(binary(Op::kNe, 1, a, b));
-}
+ExprId Module::op_not(ExprId a) { return push(node(Op::kNot, a)); }
+ExprId Module::op_and(ExprId a, ExprId b) { return push(node(Op::kAnd, a, b)); }
+ExprId Module::op_or(ExprId a, ExprId b) { return push(node(Op::kOr, a, b)); }
+ExprId Module::op_xor(ExprId a, ExprId b) { return push(node(Op::kXor, a, b)); }
+ExprId Module::red_and(ExprId a) { return push(node(Op::kRedAnd, a)); }
+ExprId Module::red_or(ExprId a) { return push(node(Op::kRedOr, a)); }
+ExprId Module::red_xor(ExprId a) { return push(node(Op::kRedXor, a)); }
+ExprId Module::eq(ExprId a, ExprId b) { return push(node(Op::kEq, a, b)); }
+ExprId Module::ne(ExprId a, ExprId b) { return push(node(Op::kNe, a, b)); }
+ExprId Module::add(ExprId a, ExprId b) { return push(node(Op::kAdd, a, b)); }
+ExprId Module::sub(ExprId a, ExprId b) { return push(node(Op::kSub, a, b)); }
 
 ExprId Module::mux(ExprId sel, ExprId then_e, ExprId else_e) {
-  check_bit(sel, "mux select");
-  check_width(then_e, else_e, "mux branches");
-  Expr e;
-  e.op = Op::kMux;
-  e.width = expr_width(then_e);
-  e.a = sel;
-  e.b = then_e;
-  e.c = else_e;
-  return push(std::move(e));
+  return push(node(Op::kMux, sel, then_e, else_e));
 }
 
 ExprId Module::concat(const std::vector<ExprId>& parts_msb_first) {
-  if (parts_msb_first.empty()) throw std::invalid_argument("empty concat");
-  Expr e;
-  e.op = Op::kConcat;
+  Expr e = node(Op::kConcat);
   e.parts = parts_msb_first;
-  for (ExprId p : parts_msb_first) e.width += expr_width(p);
   return push(std::move(e));
 }
 
 ExprId Module::slice(ExprId a, int lo, int width) {
-  if (lo < 0 || width <= 0 || lo + width > expr_width(a)) {
-    throw std::invalid_argument("slice out of range");
-  }
-  Expr e;
-  e.op = Op::kSlice;
+  Expr e = node(Op::kSlice, a);
   e.width = width;
-  e.a = a;
   e.lo = lo;
   return push(std::move(e));
 }
 
-ExprId Module::add(ExprId a, ExprId b) {
-  check_width(a, b, "add");
-  return push(binary(Op::kAdd, expr_width(a), a, b));
-}
-
-ExprId Module::sub(ExprId a, ExprId b) {
-  check_width(a, b, "sub");
-  return push(binary(Op::kSub, expr_width(a), a, b));
-}
-
 ExprId Module::mem_read(MemId mem, ExprId addr) {
-  const Memory& m = memories_.at(static_cast<std::size_t>(mem));
-  Expr e;
-  e.op = Op::kMemRead;
-  e.width = m.width;
+  Expr e = node(Op::kMemRead, addr);
   e.mem = mem;
-  e.a = addr;
   return push(std::move(e));
 }
 
@@ -478,10 +398,7 @@ void collect_reads(const Module& m, ExprId root, std::set<ExprId>& visited,
     if (reads != nullptr) reads->insert(e.net);
     return;
   }
-  collect_reads(m, e.a, visited, reads);
-  collect_reads(m, e.b, visited, reads);
-  collect_reads(m, e.c, visited, reads);
-  for (ExprId part : e.parts) collect_reads(m, part, visited, reads);
+  for_each_operand(e, [&](ExprId id) { collect_reads(m, id, visited, reads); });
 }
 
 }  // namespace la1::rtl

@@ -25,39 +25,13 @@
 #include <vector>
 
 #include "rtl/logic.hpp"
+#include "rtl/op.hpp"
 
 namespace la1::rtl {
-
-using NetId = int;
-using ExprId = int;
-using MemId = int;
-using ProcId = int;
-
-inline constexpr int kInvalidId = -1;
 
 enum class NetKind { kInput, kOutput, kWire, kReg };
 
 enum class Edge { kPos, kNeg };
-
-enum class Op {
-  kConst,   // literal LVec
-  kNet,     // reference to a net's value
-  kNot,     // bitwise
-  kAnd,
-  kOr,
-  kXor,
-  kRedAnd,  // reductions -> width 1
-  kRedOr,
-  kRedXor,
-  kEq,      // width 1
-  kNe,      // width 1
-  kMux,     // a = 1-bit select, b = then, c = else
-  kConcat,  // parts, MSB-first
-  kSlice,   // bits [lo, lo+width) of a
-  kAdd,
-  kSub,
-  kMemRead  // combinational memory read: mem[a]
-};
 
 struct Expr {
   Op op = Op::kConst;
@@ -228,10 +202,14 @@ class Module {
   Stats stats() const;
 
  private:
-  friend Module elaborate(const Module&);
+  friend ExprId copy_expr(Module& out, Expr e,
+                          const std::vector<NetId>& netmap,
+                          const std::vector<MemId>& memmap,
+                          const std::vector<ExprId>& exprmap);
   int expr_width(ExprId id) const;
-  void check_width(ExprId a, ExprId b, const char* what) const;
   void check_bit(ExprId a, const char* what) const;
+  /// Appends `e` with the width its operator's rule gives it; throws
+  /// std::invalid_argument when the operands break that rule.
   ExprId push(Expr e);
   NetId add_net(const std::string& name, NetKind kind, int width, LVec init);
 

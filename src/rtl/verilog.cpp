@@ -17,10 +17,7 @@ class Sanitizer {
   const std::string& operator()(const std::string& name) {
     auto it = renamed_.find(name);
     if (it != renamed_.end()) return it->second;
-    std::string base = name;
-    for (char& c : base) {
-      if (c == '.' || c == '#') c = '_';
-    }
+    const std::string base = verilog_base_name(name);
     std::string candidate = base;
     for (int n = 2; !used_.insert(candidate).second; ++n) {
       candidate = base + "__" + std::to_string(n);
@@ -39,25 +36,23 @@ class Printer {
 
   std::string expr(ExprId id) {
     const Expr& e = m_->expr(id);
-    switch (e.op) {
-      case Op::kConst: {
+    const std::string token = op_info(e.op).verilog;
+    switch (op_info(e.op).shape) {
+      case Shape::kLeaf: {
+        if (e.op == Op::kNet) return sanitize(m_->net(e.net).name);
         std::ostringstream s;
         s << e.width << "'b" << e.literal.to_string();
         return s.str();
       }
-      case Op::kNet: return sanitize(m_->net(e.net).name);
-      case Op::kNot: return "(~" + expr(e.a) + ")";
-      case Op::kAnd: return "(" + expr(e.a) + " & " + expr(e.b) + ")";
-      case Op::kOr: return "(" + expr(e.a) + " | " + expr(e.b) + ")";
-      case Op::kXor: return "(" + expr(e.a) + " ^ " + expr(e.b) + ")";
-      case Op::kRedAnd: return "(&" + expr(e.a) + ")";
-      case Op::kRedOr: return "(|" + expr(e.a) + ")";
-      case Op::kRedXor: return "(^" + expr(e.a) + ")";
-      case Op::kEq: return "(" + expr(e.a) + " == " + expr(e.b) + ")";
-      case Op::kNe: return "(" + expr(e.a) + " != " + expr(e.b) + ")";
-      case Op::kMux:
+      case Shape::kUnary:
+      case Shape::kReduce:
+        return "(" + token + expr(e.a) + ")";
+      case Shape::kBinary:
+      case Shape::kCompare:
+        return "(" + expr(e.a) + " " + token + " " + expr(e.b) + ")";
+      case Shape::kMux:
         return "(" + expr(e.a) + " ? " + expr(e.b) + " : " + expr(e.c) + ")";
-      case Op::kConcat: {
+      case Shape::kConcat: {
         std::string s = "{";
         for (std::size_t i = 0; i < e.parts.size(); ++i) {
           if (i != 0) s += ", ";
@@ -65,7 +60,7 @@ class Printer {
         }
         return s + "}";
       }
-      case Op::kSlice: {
+      case Shape::kSlice: {
         // Verilog part-select needs a simple name; wrap via a function-free
         // idiom: emit ((x) >> lo) truncated by the consumer width when the
         // operand is compound. For net operands use the direct part select.
@@ -80,9 +75,7 @@ class Printer {
         s << "((" << expr(e.a) << ") >> " << e.lo << ')';
         return s.str();
       }
-      case Op::kAdd: return "(" + expr(e.a) + " + " + expr(e.b) + ")";
-      case Op::kSub: return "(" + expr(e.a) + " - " + expr(e.b) + ")";
-      case Op::kMemRead:
+      case Shape::kMemRead:
         return sanitize(m_->memories()[static_cast<std::size_t>(e.mem)].name) +
                "[" + expr(e.a) + "]";
     }
@@ -204,11 +197,8 @@ void emit_module(const Module& m, std::ostringstream& out,
       // Port names live in the child's scope; only character replacement
       // applies (the child emits its ports before any internal name can
       // steal the sanitized form).
-      std::string port_id = port;
-      for (char& c : port_id) {
-        if (c == '.' || c == '#') c = '_';
-      }
-      out << "." << port_id << "(" << names(m.net(net).name) << ")";
+      out << "." << verilog_base_name(port) << "(" << names(m.net(net).name)
+          << ")";
     }
     out << ");\n";
   }
@@ -217,6 +207,14 @@ void emit_module(const Module& m, std::ostringstream& out,
 }
 
 }  // namespace
+
+std::string verilog_base_name(const std::string& name) {
+  std::string base = name;
+  for (char& c : base) {
+    if (c == '.' || c == '#') c = '_';
+  }
+  return base;
+}
 
 std::string to_verilog(const Module& m) {
   std::ostringstream out;

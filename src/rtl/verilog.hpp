@@ -14,4 +14,9 @@ namespace la1::rtl {
 /// source text.
 std::string to_verilog(const Module& m);
 
+/// The Verilog identifier a netlist name prints as before any uniquifying
+/// suffix: '.' and '#' (which flattened names use) become '_'. Two names
+/// with the same base collide in one Verilog scope.
+std::string verilog_base_name(const std::string& name);
+
 }  // namespace la1::rtl

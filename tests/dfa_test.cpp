@@ -16,6 +16,7 @@
 #include "mc/symbolic.hpp"
 #include "rtl/bitblast.hpp"
 #include "rtl/netlist.hpp"
+#include "rtl/sim.hpp"
 #include "util/json.hpp"
 
 namespace la1::dfa {
@@ -55,6 +56,26 @@ TEST(AbstractDomain, ConstantQueries) {
   EXPECT_FALSE(abs_constant_value(kAbs0));
   EXPECT_EQ(abs_of(rtl::Logic::kZ), kAbsZ);
   EXPECT_EQ(abs_of(rtl::Logic::k1), kAbs1);
+}
+
+TEST(AbstractDomain, OneBitReductionOfZIsXLikeCycleSim) {
+  // Every gate treats Z as X, so reducing a lone Z bit yields X; the facts
+  // must hold that value, not the Z operand itself.
+  rtl::Module m("z");
+  const rtl::ExprId z = m.lit(rtl::LVec::zs(1));
+  const rtl::NetId r_and = m.wire("r_and", 1);
+  const rtl::NetId r_or = m.wire("r_or", 1);
+  const rtl::NetId r_xor = m.wire("r_xor", 1);
+  m.assign(r_and, m.red_and(z));
+  m.assign(r_or, m.red_or(z));
+  m.assign(r_xor, m.red_xor(z));
+  const Facts facts = analyze(m);
+  rtl::CycleSim sim(m);
+  for (const rtl::NetId n : {r_and, r_or, r_xor}) {
+    EXPECT_EQ(sim.get(n).bit(0), rtl::Logic::kX) << m.net(n).name;
+    EXPECT_EQ(facts.nets[static_cast<std::size_t>(n)][0], kAbsX)
+        << m.net(n).name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "rtl/netlist.hpp"
 #include "rtl/verilog.hpp"
 
@@ -171,6 +175,69 @@ TEST(Verilog, SanitizesFlattenedNames) {
   top.instantiate("u0", child, {{"a", in}, {"y", out}});
   const std::string v = to_verilog(elaborate(top));
   EXPECT_EQ(v.find("u0."), std::string::npos);  // dots replaced
+}
+
+Expr node(Op op, ExprId a = kInvalidId, ExprId b = kInvalidId, int width = 0) {
+  Expr e;
+  e.op = op;
+  e.a = a;
+  e.b = b;
+  e.width = width;
+  return e;
+}
+
+TEST(OpTable, WidthViolationNamesTheBrokenRule) {
+  Module m("t");
+  const ExprId a4 = m.ref(m.input("a", 4));
+  const ExprId b3 = m.ref(m.input("b", 3));
+  Expr e = node(Op::kAnd, a4, b3, 4);
+  EXPECT_EQ(width_violation(m, e), "operands are 4 and 3 bits, result says 4");
+  e.b = a4;
+  EXPECT_EQ(width_violation(m, e), "");
+  e.b = 99;
+  EXPECT_EQ(width_violation(m, e), "operand expr#99 does not exist");
+
+  EXPECT_EQ(width_violation(m, node(Op::kEq, a4, b3, 1)),
+            "comparison of 4 vs 3 bits");
+  Expr slice = node(Op::kSlice, b3, kInvalidId, 2);
+  slice.lo = 2;
+  EXPECT_EQ(width_violation(m, slice), "slice [2, 4) exceeds 3-bit operand");
+  EXPECT_EQ(width_violation(m, node(Op::kConcat)), "concat has no parts");
+}
+
+TEST(OpTable, BuilderReportsTheOperatorName) {
+  Module m("t");
+  const ExprId a4 = m.ref(m.input("a", 4));
+  const ExprId b3 = m.ref(m.input("b", 3));
+  try {
+    m.op_xor(a4, b3);
+    FAIL() << "width mismatch accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "xor: operands are 4 and 3 bits, result says 4");
+  }
+  EXPECT_EQ(m.expr(m.red_or(a4)).width, 1);
+  EXPECT_EQ(m.expr(m.concat({a4, b3})).width, 7);
+}
+
+TEST(OpTable, ForEachOperandVisitsAThenBThenCThenParts) {
+  Expr e = node(Op::kMux, 1, 2);
+  e.c = 3;
+  std::vector<ExprId> seen;
+  for_each_operand(e, [&](ExprId id) { seen.push_back(id); });
+  EXPECT_EQ(seen, (std::vector<ExprId>{1, 2, 3}));
+  Expr cat = node(Op::kConcat);
+  cat.parts = {7, 5};
+  for_each_operand(cat, [](ExprId& id) { id += 10; });
+  EXPECT_EQ(cat.parts, (std::vector<ExprId>{17, 15}));
+}
+
+TEST(OpTable, RowsFollowTheEnumOrder) {
+  EXPECT_STREQ(op_info(Op::kConst).name, "const");
+  EXPECT_STREQ(op_info(Op::kRedXor).name, "red_xor");
+  EXPECT_STREQ(op_info(Op::kMemRead).name, "mem_read");
+  EXPECT_EQ(op_info(Op::kRedAnd).identity, Logic::k1);
+  EXPECT_EQ(op_info(Op::kOr).bit, &logic_or);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 namespace la1 {
 namespace {
 
@@ -200,6 +202,48 @@ TEST(ToolsCli, CsimSubcommandProvesParityAndReportsSpeedup) {
   const std::string json = buf.str();
   EXPECT_NE(json.find("\"parity_ok\": true"), std::string::npos) << json;
   EXPECT_NE(json.find("per_stream_speedup"), std::string::npos) << json;
+}
+
+/// Runs `command`, returning its exit status and, in `*output`, its
+/// combined stdout and stderr.
+int run_capturing(const std::string& command, std::string* output) {
+  const std::string log = testing::TempDir() + "la1_tool_output." +
+                          testing::UnitTest::GetInstance()
+                              ->current_test_info()
+                              ->name() +
+                          ".txt";
+  const int status = std::system((command + " > " + log + " 2>&1").c_str());
+  std::ifstream in(log);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  *output = buf.str();
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ToolsCli, MisspelledOptionsAreRejectedBeforeAnyWork) {
+  const std::string out = testing::TempDir() + "la1_typo.v";
+  std::remove(out.c_str());
+  std::string output;
+  EXPECT_EQ(run_capturing(std::string(LA1_LA1CHECK) +
+                              " verilog --bnaks 4 --out " + out,
+                          &output),
+            2);
+  EXPECT_NE(output.find("unknown option --bnaks"), std::string::npos)
+      << output;
+  EXPECT_FALSE(std::ifstream(out).good()) << "wrote " << out;
+
+  EXPECT_EQ(run_capturing(std::string(LA1_LA1CHECK) + " lint --fial-on warn",
+                          &output),
+            2);
+  EXPECT_NE(output.find("unknown option --fial-on"), std::string::npos)
+      << output;
+
+  EXPECT_EQ(run_capturing(std::string(LA1_LA1BATCH) +
+                              " run job.json --wrokers 2",
+                          &output),
+            2);
+  EXPECT_NE(output.find("unknown option --wrokers"), std::string::npos)
+      << output;
 }
 
 TEST(ToolsCli, BatchHelpExitsZeroAndListsEveryCommand) {

@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "batch/job.hpp"
 #include "batch/runner.hpp"
@@ -188,6 +190,20 @@ int main(int argc, char** argv) {
     print_usage(stdout);
     return 0;
   }
+  // A misspelled option must not silently fall back to its default; every
+  // option belongs to `run` (`example` takes none).
+  if (mode == "run") {
+    for (const char* name :
+         {"workers", "steal-seed", "shard-wall-ms", "retries", "backoff-ms",
+          "journal", "resume", "json", "no-telemetry"}) {
+      cli.has(name);
+    }
+  }
+  const std::vector<std::string> unknown = cli.unused();
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "unknown option --%s\n", name.c_str());
+  }
+  if (!unknown.empty()) return 2;
   try {
     if (mode == "example" && cli.positional().size() == 1) {
       return run_example();

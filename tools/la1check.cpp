@@ -54,7 +54,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cov/coverage.hpp"
 #include "csim/compile.hpp"
@@ -148,6 +151,37 @@ void print_usage(std::FILE* out) {
 int usage() {
   print_usage(stderr);
   return 2;
+}
+
+/// `--json F|-`: "-" prints `doc` to stdout in place of `human`; otherwise
+/// `human` prints and a named file also receives `doc`, announced as
+/// "wrote <what> to F". Returns false, after a diagnostic, when the file
+/// cannot be written.
+bool emit_json(const util::Cli& cli, const util::Json& doc, const char* what,
+               const std::function<void()>& human) {
+  const std::string json = cli.get("json", "");
+  if (json == "-") {
+    std::fputs((doc.dump(2) + "\n").c_str(), stdout);
+    return true;
+  }
+  human();
+  if (json.empty()) return true;
+  std::ofstream f(json);
+  if (!f) {
+    std::fprintf(stderr, "cannot write %s\n", json.c_str());
+    return false;
+  }
+  f << doc.dump(2) << '\n';
+  std::printf("wrote %s to %s\n", what, json.c_str());
+  return true;
+}
+
+/// `--fail-on warn|error|never`: exit code 1 when `findings` reach the
+/// threshold, else 0.
+int fail_on(const util::Cli& cli, const lint::LintReport& findings) {
+  const std::string level = cli.get("fail-on", "error");
+  if (level == "never") return 0;
+  return findings.fails(lint::severity_from_string(level)) ? 1 : 0;
 }
 
 int run_sim(const util::Cli& cli) {
@@ -288,7 +322,6 @@ int run_verilog(const util::Cli& cli) {
 }
 
 int run_lint(const util::Cli& cli) {
-  const std::string fail_on = cli.get("fail-on", "error");
   lint::LintReport report;
   std::string target;
 
@@ -329,29 +362,14 @@ int run_lint(const util::Cli& cli) {
     }
   }
 
-  const std::string json = cli.get("json", "");
-  if (json == "-") {
-    std::fputs((report.to_json().dump(2) + "\n").c_str(), stdout);
-  } else {
+  const bool written = emit_json(cli, report.to_json(), "findings", [&] {
     std::printf("lint target: %s\n", target.c_str());
     std::fputs(report.render().c_str(), stdout);
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << report.to_json().dump(2) << '\n';
-      std::printf("wrote findings to %s\n", json.c_str());
-    }
-  }
-
-  if (fail_on == "never") return 0;
-  return report.fails(lint::severity_from_string(fail_on)) ? 1 : 0;
+  });
+  return written ? fail_on(cli, report) : 2;
 }
 
 int run_dfa(const util::Cli& cli) {
-  const std::string fail_on = cli.get("fail-on", "error");
   const int banks = static_cast<int>(cli.get_int("banks", 1));
 
   // Sequential analyses need the bit-blastable model-checking geometry —
@@ -365,15 +383,12 @@ int run_dfa(const util::Cli& cli) {
   const dfa::InvariantSet invariants =
       dfa::sweep(rtl::bitblast(expanded, core::clock_schedule(flat)));
 
-  const std::string json = cli.get("json", "");
   util::Json out = report.to_json();
   const util::Json inv_json = invariants.to_json();
   if (const util::Json* arr = inv_json.find("invariants")) {
     out.set("invariants", *arr);
   }
-  if (json == "-") {
-    std::fputs((out.dump(2) + "\n").c_str(), stdout);
-  } else {
+  const bool written = emit_json(cli, out, "findings", [&] {
     std::printf("dfa target: %d-bank device (model-checking geometry)\n",
                 banks);
     std::fputs(report.render().c_str(), stdout);
@@ -397,19 +412,8 @@ int run_dfa(const util::Cli& cli) {
           break;
       }
     }
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << out.dump(2) << '\n';
-      std::printf("wrote findings to %s\n", json.c_str());
-    }
-  }
-
-  if (fail_on == "never") return 0;
-  return report.fails(lint::severity_from_string(fail_on)) ? 1 : 0;
+  });
+  return written ? fail_on(cli, report) : 2;
 }
 
 int run_faults(const util::Cli& cli) {
@@ -444,20 +448,9 @@ int run_faults(const util::Cli& cli) {
     report = fault::run_campaign(opt);
   }
 
-  const std::string json = cli.get("json", "");
-  if (json == "-") {
-    std::fputs((report.to_json().dump(2) + "\n").c_str(), stdout);
-  } else {
-    std::fputs(report.render().c_str(), stdout);
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << report.to_json().dump(2) << '\n';
-      std::printf("wrote report to %s\n", json.c_str());
-    }
+  if (!emit_json(cli, report.to_json(), "report",
+                 [&] { std::fputs(report.render().c_str(), stdout); })) {
+    return 2;
   }
 
   if (exec::interrupted()) {
@@ -619,10 +612,7 @@ int run_cov(const util::Cli& cli) {
 
   const tgen::ClosureResult result = tgen::run_closure(opt);
 
-  const std::string json = cli.get("json", "");
-  if (json == "-") {
-    std::fputs((result.to_json().dump(2) + "\n").c_str(), stdout);
-  } else {
+  const bool written = emit_json(cli, result.to_json(), "report", [&] {
     std::fputs(result.report.render().c_str(), stdout);
     std::printf("closure: %d epoch(s), %llu transaction(s), target %.0f%% %s\n",
                 result.epochs,
@@ -631,16 +621,8 @@ int run_cov(const util::Cli& cli) {
                 result.reached_target ? "reached"
                 : result.budget_exhausted ? "NOT reached (budget exhausted)"
                                           : "NOT reached");
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << result.to_json().dump(2) << '\n';
-      std::printf("wrote report to %s\n", json.c_str());
-    }
-  }
+  });
+  if (!written) return 2;
 
   if (exec::interrupted()) {
     std::fprintf(stderr, "interrupted after %d epoch(s)\n", result.epochs);
@@ -733,36 +715,16 @@ int run_msc(const util::Cli& cli) {
     if (emit.empty()) std::fputs(lint_report.render().c_str(), stdout);
   }
 
-  const std::string json = cli.get("json", "");
-  if (!json.empty()) {
-    util::Json doc = util::Json::object();
-    doc.set("file", util::Json(path));
-    doc.set("chart", util::Json(chart.name));
-    doc.set("asserts", util::Json(static_cast<std::int64_t>(
-                           suite.asserts.size())));
-    doc.set("covers", util::Json(static_cast<std::int64_t>(
-                          suite.covers.size())));
-    doc.set("coverage_bins", util::Json(static_cast<std::int64_t>(bins)));
-    if (do_lint) doc.set("lint", lint_report.to_json());
-    if (json == "-") {
-      std::fputs((doc.dump(2) + "\n").c_str(), stdout);
-    } else {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << doc.dump(2) << '\n';
-      std::printf("wrote summary to %s\n", json.c_str());
-    }
-  }
-
-  const std::string fail_on = cli.get("fail-on", "error");
-  if (do_lint && fail_on != "never" &&
-      lint_report.fails(lint::severity_from_string(fail_on))) {
-    return 1;
-  }
-  return 0;
+  util::Json doc = util::Json::object();
+  doc.set("file", util::Json(path));
+  doc.set("chart", util::Json(chart.name));
+  doc.set("asserts",
+          util::Json(static_cast<std::int64_t>(suite.asserts.size())));
+  doc.set("covers", util::Json(static_cast<std::int64_t>(suite.covers.size())));
+  doc.set("coverage_bins", util::Json(static_cast<std::int64_t>(bins)));
+  if (do_lint) doc.set("lint", lint_report.to_json());
+  if (!emit_json(cli, doc, "summary", [] {})) return 2;
+  return do_lint ? fail_on(cli, lint_report) : 0;
 }
 
 int run_flow(const util::Cli& cli) {
@@ -774,7 +736,6 @@ int run_flow(const util::Cli& cli) {
 }
 
 int run_flowan(const util::Cli& cli) {
-  const std::string fail_on = cli.get("fail-on", "error");
   flow::FlowReport report;
 
   if (cli.has("inject")) {
@@ -809,28 +770,13 @@ int run_flowan(const util::Cli& cli) {
     report.labels = std::move(kept);
   }
 
-  const std::string json = cli.get("json", "");
-  if (json == "-") {
-    std::fputs((report.to_json().dump(2) + "\n").c_str(), stdout);
-  } else {
+  const bool written = emit_json(cli, report.to_json(), "flow report", [&] {
     std::fputs(report.render().c_str(), stdout);
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << report.to_json().dump(2) << '\n';
-      std::printf("wrote flow report to %s\n", json.c_str());
-    }
-  }
-
-  if (fail_on == "never") return 0;
-  return report.clean(lint::severity_from_string(fail_on)) ? 0 : 1;
+  });
+  return written ? fail_on(cli, report.findings) : 2;
 }
 
 int run_plan(const util::Cli& cli) {
-  const std::string fail_on = cli.get("fail-on", "error");
   const double min_two_state = cli.get_double("min-two-state", -1.0);
 
   plan::CompilePlan p;
@@ -851,27 +797,11 @@ int run_plan(const util::Cli& cli) {
     p = plan::analyze(flat, opt);
   }
 
-  const std::string json = cli.get("json", "");
-  if (json == "-") {
-    std::fputs((p.to_json().dump(2) + "\n").c_str(), stdout);
-  } else {
-    std::fputs(p.render().c_str(), stdout);
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << p.to_json().dump(2) << '\n';
-      std::printf("wrote compile plan to %s\n", json.c_str());
-    }
+  if (!emit_json(cli, p.to_json(), "compile plan",
+                 [&] { std::fputs(p.render().c_str(), stdout); })) {
+    return 2;
   }
-
-  int rc = 0;
-  if (fail_on != "never" &&
-      p.findings.fails(lint::severity_from_string(fail_on))) {
-    rc = 1;
-  }
+  int rc = fail_on(cli, p.findings);
   const double state_pct = 100.0 * p.two_state_fraction(true);
   if (min_two_state >= 0.0 && state_pct < min_two_state) {
     std::fprintf(stderr,
@@ -982,7 +912,6 @@ int run_csim(const util::Cli& cli) {
   const double per_stream_us = csim_us / 64.0;
   const double speedup = per_stream_us > 0 ? interp_us / per_stream_us : 0.0;
 
-  const std::string json = cli.get("json", "");
   util::Json doc = util::Json::object();
   doc.set("banks", util::Json(banks));
   doc.set("seed", util::Json(seed));
@@ -1000,34 +929,56 @@ int run_csim(const util::Cli& cli) {
   doc.set("csim_us_per_cycle", util::Json(csim_us));
   doc.set("per_stream_us_per_cycle", util::Json(per_stream_us));
   doc.set("per_stream_speedup", util::Json(speedup));
-  if (json == "-") {
-    std::fputs((doc.dump(2) + "\n").c_str(), stdout);
-    return 0;
-  }
+  const bool written = emit_json(cli, doc, "report", [&] {
+    std::printf("compiled %d-bank device: %zu net(s) -> %d word slot(s), "
+                "%zu instruction(s), %.1f%% of state bits proven two-state\n",
+                banks, flat.nets().size(), compiled.slot_count(),
+                compiled.total_instructions(),
+                100.0 * p.two_state_fraction(true));
+    std::printf("parity: %d cycle(s), %llu net comparison(s) vs the "
+                "interpreter -> identical\n",
+                parity_cycles, static_cast<unsigned long long>(comparisons));
+    std::printf("throughput over %d cycle(s):\n", cycles);
+    std::printf("  interpreter      %8.2f us/cycle\n", interp_us);
+    std::printf("  compiled pass    %8.2f us/cycle (64 lanes)\n", csim_us);
+    std::printf("  per stream       %8.2f us/cycle  (%.1fx the interpreter)\n",
+                per_stream_us, speedup);
+  });
+  return written ? 0 : 2;
+}
 
-  std::printf("compiled %d-bank device: %zu net(s) -> %d word slot(s), "
-              "%zu instruction(s), %.1f%% of state bits proven two-state\n",
-              banks, flat.nets().size(), compiled.slot_count(),
-              compiled.total_instructions(),
-              100.0 * p.two_state_fraction(true));
-  std::printf("parity: %d cycle(s), %llu net comparison(s) vs the "
-              "interpreter -> identical\n",
-              parity_cycles, static_cast<unsigned long long>(comparisons));
-  std::printf("throughput over %d cycle(s):\n", cycles);
-  std::printf("  interpreter      %8.2f us/cycle\n", interp_us);
-  std::printf("  compiled pass    %8.2f us/cycle (64 lanes)\n", csim_us);
-  std::printf("  per stream       %8.2f us/cycle  (%.1fx the interpreter)\n",
-              per_stream_us, speedup);
-  if (!json.empty()) {
-    std::ofstream f(json);
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json.c_str());
-      return 2;
-    }
-    f << doc.dump(2) << '\n';
-    std::printf("wrote report to %s\n", json.c_str());
-  }
-  return 0;
+/// One subcommand: its handler, its positional arity (the command word
+/// included) and every option it reads besides the common --banks/--seed.
+struct Command {
+  const char* name;
+  int (*run)(const util::Cli&);
+  std::size_t positional;
+  std::vector<const char*> options;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"msc", run_msc, 2, {"emit", "bank", "lint", "json", "fail-on"}},
+      {"sim", run_sim, 1, {"prop", "vunit-file", "ticks", "addr-bits"}},
+      {"asm", run_asm, 1, {"prop", "max-states"}},
+      {"rtl", run_rtl, 1, {"prop", "node-limit", "no-coi"}},
+      {"verilog", run_verilog, 1, {"out"}},
+      {"flow", run_flow, 1, {}},
+      {"flowan", run_flowan, 1, {"json", "fail-on", "label", "inject"}},
+      {"lint", run_lint, 1,
+       {"json", "fail-on", "prop", "vunit-file", "inject"}},
+      {"dfa", run_dfa, 1, {"json", "fail-on"}},
+      {"faults", run_faults, 1,
+       {"json", "fail-under", "transactions", "structural", "protocol",
+        "no-mc", "workers", "steal-seed", "shard-wall-ms", "backend"}},
+      {"cov", run_cov, 1,
+       {"target", "epochs", "transactions", "wall-ms", "json", "fail-under",
+        "shrink", "out", "replay", "mem-addr-bits", "data-bits"}},
+      {"plan", run_plan, 1,
+       {"json", "fail-on", "min-two-state", "max-cycles", "inject"}},
+      {"csim", run_csim, 1, {"cycles", "parity-cycles", "json"}},
+  };
+  return table;
 }
 
 }  // namespace
@@ -1044,25 +995,26 @@ int main(int argc, char** argv) {
     print_usage(stdout);
     return 0;
   }
-  const std::size_t expected = mode == "msc" ? 2u : 1u;
-  if (cli.positional().size() != expected) return usage();
+  const auto& table = commands();
+  const auto command =
+      std::find_if(table.begin(), table.end(),
+                   [&](const Command& c) { return mode == c.name; });
+  if (command == table.end() ||
+      cli.positional().size() != command->positional) {
+    return usage();
+  }
+  // A misspelled option must not silently fall back to its default.
+  for (const char* name : {"banks", "seed"}) cli.has(name);
+  for (const char* name : command->options) cli.has(name);
+  const std::vector<std::string> unknown = cli.unused();
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "unknown option --%s\n", name.c_str());
+  }
+  if (!unknown.empty()) return 2;
   try {
-    if (mode == "msc") return run_msc(cli);
-    if (mode == "sim") return run_sim(cli);
-    if (mode == "asm") return run_asm(cli);
-    if (mode == "rtl") return run_rtl(cli);
-    if (mode == "verilog") return run_verilog(cli);
-    if (mode == "flow") return run_flow(cli);
-    if (mode == "flowan") return run_flowan(cli);
-    if (mode == "lint") return run_lint(cli);
-    if (mode == "dfa") return run_dfa(cli);
-    if (mode == "faults") return run_faults(cli);
-    if (mode == "cov") return run_cov(cli);
-    if (mode == "plan") return run_plan(cli);
-    if (mode == "csim") return run_csim(cli);
+    return command->run(cli);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
-  return usage();
 }
