@@ -2,11 +2,22 @@
 //
 // This is the symbolic engine behind the RuleBase-style model checker
 // (paper §5.2, Table 2). It is a classic ROBDD package: a unique table for
-// canonicity, an ITE operation with a computed-table cache, existential /
-// universal quantification, variable substitution (compose-by-renaming for
-// the transition-relation image), reference-counted garbage collection, and
-// node accounting so the benchmark can report "Number of BDDs" and memory
-// the way RuleBase does.
+// canonicity, an ITE operation, existential / universal quantification,
+// variable substitution (compose-by-renaming for the transition-relation
+// image), reference-counted garbage collection, and node accounting so the
+// benchmark can report "Number of BDDs" and memory the way RuleBase does.
+//
+// Storage (DESIGN.md §19): the nodes live in one flat arena indexed by
+// NodeId. The unique table is a power-of-two array of chain heads; each
+// chain runs through the `next` field of the arena slots, so interning a
+// node allocates nothing outside the arena. One lossy, direct-mapped
+// computed cache, tagged by operation, serves ite, exists, and_exists,
+// rename and cofactor; a quantification mask or rename map enters a key as
+// a small id interned by content. Both tables start small and double as
+// the arena grows, the cache up to a fixed cap. Garbage collection empties
+// the cache and rebuilds the chains from the live nodes. A cache miss only
+// recomputes a canonical result out of nodes that already exist, so which
+// nodes are created, and in what order, never depends on the table sizes.
 //
 // Node 0 is the constant FALSE, node 1 the constant TRUE. Complement edges
 // are not used; negation materializes nodes (simpler invariants, adequate
@@ -15,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -114,58 +126,64 @@ class Manager {
   std::string to_dot(NodeId f, const std::function<std::string(int)>& var_name) const;
 
  private:
+  /// One arena slot. `next` links the slot into its unique-table chain
+  /// (0 ends a chain: the terminals are never chained); var == -1 marks a
+  /// freed slot waiting on the free list.
   struct Node {
     int var = -1;
     NodeId low = 0;
     NodeId high = 0;
     std::uint32_t refs = 0;
+    NodeId next = 0;
   };
 
-  struct UniqueKey {
-    int var;
-    NodeId low;
-    NodeId high;
-    bool operator==(const UniqueKey& o) const {
-      return var == o.var && low == o.low && high == o.high;
-    }
+  /// Operation tag of a computed-cache entry; kEmpty marks an unused slot.
+  enum class CacheOp : std::uint32_t {
+    kEmpty,
+    kIte,
+    kExists,
+    kAndExists,
+    kRename,
+    kCofactor,
   };
-  struct UniqueKeyHash {
-    std::size_t operator()(const UniqueKey& k) const {
-      std::size_t h = static_cast<std::size_t>(k.var);
-      h = h * 1000003u ^ k.low;
-      h = h * 1000003u ^ k.high;
-      return h;
-    }
-  };
-  struct IteKey {
-    NodeId f, g, h;
-    bool operator==(const IteKey& o) const {
-      return f == o.f && g == o.g && h == o.h;
-    }
-  };
-  struct IteKeyHash {
-    std::size_t operator()(const IteKey& k) const {
-      std::size_t h = k.f;
-      h = h * 1000003u ^ k.g;
-      h = h * 1000003u ^ k.h;
-      return h;
-    }
+  /// Key (op, a, b, c) and result. The operands are node ids, except that
+  /// a quantification mask or rename map enters as its interned id and a
+  /// cofactor as (f, var, value).
+  struct CacheEntry {
+    CacheOp op = CacheOp::kEmpty;
+    NodeId a = 0;
+    NodeId b = 0;
+    NodeId c = 0;
+    NodeId result = 0;
   };
 
   NodeId make(int var, NodeId low, NodeId high);
+  std::size_t bucket(int var, NodeId low, NodeId high) const;
+  void rebuild_chains(std::size_t bucket_count);
+  CacheEntry& cache_slot(CacheOp op, NodeId a, NodeId b, NodeId c);
+  bool cache_find(CacheOp op, NodeId a, NodeId b, NodeId c, NodeId& out);
+  void cache_put(CacheOp op, NodeId a, NodeId b, NodeId c, NodeId result);
+  void grow_cache();
+  std::uint32_t intern_mask(const std::vector<bool>& mask);
   NodeId exists_rec(NodeId f, const std::vector<bool>& mask,
-                    std::unordered_map<NodeId, NodeId>& memo);
+                    std::uint32_t mask_id);
   NodeId and_exists_rec(NodeId f, NodeId g, const std::vector<bool>& mask,
-                        std::unordered_map<std::uint64_t, NodeId>& memo);
+                        std::uint32_t mask_id);
   NodeId rename_rec(NodeId f, const std::vector<int>& rename,
-                    std::unordered_map<NodeId, NodeId>& memo);
+                    std::uint32_t map_id);
   std::uint64_t dag_size_rec(NodeId f, std::vector<bool>& seen) const;
   double sat_count_rec(NodeId f, std::unordered_map<NodeId, double>& memo) const;
 
   int var_count_;
   std::vector<Node> nodes_;
-  std::unordered_map<UniqueKey, NodeId, UniqueKeyHash> unique_;
-  std::unordered_map<IteKey, NodeId, IteKeyHash> ite_cache_;
+  /// Unique table: chain heads, a power of two, at least one per live node.
+  std::vector<NodeId> buckets_;
+  /// Lossy direct-mapped computed cache, a power of two up to kCacheCap.
+  std::vector<CacheEntry> cache_;
+  /// Quantification masks and rename maps interned by content, so a key
+  /// names the same mask for the manager's lifetime.
+  std::unordered_map<std::vector<bool>, std::uint32_t> mask_ids_;
+  std::map<std::vector<int>, std::uint32_t> rename_ids_;
   std::vector<NodeId> free_list_;
   std::uint64_t live_nodes_ = 2;
   std::uint64_t peak_live_nodes_ = 2;

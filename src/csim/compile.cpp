@@ -453,7 +453,13 @@ class Compiler : public rtl::BitWalk<Compiler, BitRef> {
   }
 
   std::vector<BitRef> arith(const rtl::Expr& e) {
-    return lower_add(eval(e.a), eval(e.b), e.op == rtl::Op::kSub);
+    // Right operand first, each in its own statement: evaluating an
+    // operand allocates slots, so the order fixes the program's slot
+    // numbering, and two evals as call arguments would leave it to the
+    // compiler.
+    const auto& y = eval(e.b);
+    const auto& x = eval(e.a);
+    return lower_add(x, y, e.op == rtl::Op::kSub);
   }
 
   BitRef gate(const rtl::OpInfo& info, const BitRef& x, const BitRef& y) {

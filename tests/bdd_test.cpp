@@ -205,6 +205,178 @@ TEST(Bdd, GarbageCollection) {
   EXPECT_EQ(m.apply_and(m.var(0), m.var(1)), keep);
 }
 
+/// Truth tables over six variables: bit a of a Table is the function's
+/// value under the assignment that sets variable v to bit v of a.
+constexpr int kTableVars = 6;
+using Table = std::uint64_t;
+
+Table table_of(const Manager& m, NodeId f) {
+  Table t = 0;
+  for (unsigned a = 0; a < 64; ++a) {
+    std::vector<bool> assignment(kTableVars);
+    for (int v = 0; v < kTableVars; ++v) assignment[v] = ((a >> v) & 1u) != 0;
+    if (m.eval(f, assignment)) t |= Table{1} << a;
+  }
+  return t;
+}
+
+/// The table of f with bit a taken from f's bit `source(a)`.
+Table permute(Table f, const std::function<unsigned(unsigned)>& source) {
+  Table t = 0;
+  for (unsigned a = 0; a < 64; ++a) {
+    if (((f >> source(a)) & 1u) != 0) t |= Table{1} << a;
+  }
+  return t;
+}
+
+/// Table{2} is the identity on one bit, read at variable v.
+Table var_table(int v) {
+  return permute(Table{2}, [v](unsigned a) { return (a >> v) & 1u; });
+}
+
+Table exists_table(Table f, const std::vector<bool>& mask) {
+  for (int v = 0; v < kTableVars; ++v) {
+    if (!mask[static_cast<std::size_t>(v)]) continue;
+    f = permute(f, [v](unsigned a) { return a & ~(1u << v); }) |
+        permute(f, [v](unsigned a) { return a | (1u << v); });
+  }
+  return f;
+}
+
+Table cofactor_table(Table f, int v, bool value) {
+  return permute(f, [v, value](unsigned a) {
+    return value ? a | (1u << v) : a & ~(1u << v);
+  });
+}
+
+/// rename(f, ren) reads variable v of f from variable ren[v].
+Table rename_table(Table f, const std::vector<int>& ren) {
+  return permute(f, [&ren](unsigned a) {
+    unsigned b = 0;
+    for (int v = 0; v < kTableVars; ++v) {
+      b |= ((a >> ren[static_cast<std::size_t>(v)]) & 1u) << v;
+    }
+    return b;
+  });
+}
+
+TEST(Bdd, CollectionLeavesNoStaleCacheEntry) {
+  // Collected ids go back on the free list and name new functions; a
+  // computed-cache entry that outlived the collection would answer for
+  // whatever now lives at its ids. Every cached operation is checked
+  // against truth tables before the collection and again on functions
+  // built over the reused ids.
+  Manager m(kTableVars);
+  util::Rng rng(2004);
+  const std::vector<bool> mask_a{true, false, true, false, false, true};
+  const std::vector<bool> mask_b{false, true, false, true, true, false};
+  const std::vector<int> shift{1, 1, 3, 3, 5, 5};
+
+  struct Fn {
+    NodeId node;
+    Table table;
+  };
+  // A random function; with `even_only`, over the even variables only, so
+  // that `shift` renames it without two variables meeting.
+  auto random_fn = [&](bool even_only) {
+    auto literal = [&] {
+      const int v = static_cast<int>(rng.below(kTableVars / 2)) * 2 +
+                    (even_only ? 0 : static_cast<int>(rng.below(2)));
+      return Fn{m.var(v), var_table(v)};
+    };
+    Fn f = literal();
+    for (int step = 0; step < 5; ++step) {
+      const Fn g = literal();
+      const Fn h = literal();
+      switch (rng.below(3)) {
+        case 0: f = {m.ite(f.node, g.node, h.node),
+                     (f.table & g.table) | (~f.table & h.table)}; break;
+        case 1: f = {m.apply_xor(f.node, g.node), f.table ^ g.table}; break;
+        default: f = {m.apply_or(m.apply_not(f.node), g.node),
+                      ~f.table | g.table}; break;
+      }
+    }
+    EXPECT_EQ(table_of(m, f.node), f.table);
+    return f;
+  };
+  auto exercise = [&](const std::vector<Fn>& pool, const std::vector<Fn>& even) {
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const Fn& f = pool[i];
+      const Fn& g = pool[(i + 1) % pool.size()];
+      const Fn& h = pool[(i + 2) % pool.size()];
+      EXPECT_EQ(table_of(m, m.ite(f.node, g.node, h.node)),
+                (f.table & g.table) | (~f.table & h.table));
+      for (const std::vector<bool>* mask : {&mask_a, &mask_b}) {
+        EXPECT_EQ(table_of(m, m.exists(f.node, *mask)),
+                  exists_table(f.table, *mask));
+        EXPECT_EQ(table_of(m, m.forall(f.node, *mask)),
+                  ~exists_table(~f.table, *mask));
+        EXPECT_EQ(table_of(m, m.and_exists(f.node, g.node, *mask)),
+                  exists_table(f.table & g.table, *mask));
+      }
+      for (int v = 0; v < kTableVars; ++v) {
+        for (const bool value : {false, true}) {
+          EXPECT_EQ(table_of(m, m.cofactor(f.node, v, value)),
+                    cofactor_table(f.table, v, value));
+        }
+      }
+    }
+    for (const Fn& f : even) {
+      EXPECT_EQ(table_of(m, m.rename(f.node, shift)),
+                rename_table(f.table, shift));
+    }
+  };
+  auto build = [&](std::vector<Fn>& pool, std::vector<Fn>& even) {
+    for (int i = 0; i < 12; ++i) pool.push_back(random_fn(false));
+    for (int i = 0; i < 6; ++i) even.push_back(random_fn(true));
+    exercise(pool, even);
+  };
+
+  std::vector<Fn> pool;
+  std::vector<Fn> even;
+  build(pool, even);
+  // What every id meant before the collection (nothing was freed yet, so
+  // the ids run from 0 to the creation count).
+  std::vector<Table> meant;
+  for (NodeId id = 0; id < m.created_nodes(); ++id) {
+    meant.push_back(table_of(m, id));
+  }
+  std::vector<Fn> kept(pool.begin(), pool.begin() + 3);
+  for (const Fn& f : kept) m.ref(f.node);
+  EXPECT_GT(m.collect_garbage(), 0u);
+
+  std::vector<Fn> pool2 = kept;
+  std::vector<Fn> even2;
+  build(pool2, even2);
+  bool reused = false;
+  for (const Fn& f : pool2) {
+    reused |= f.node < meant.size() && meant[f.node] != f.table;
+  }
+  EXPECT_TRUE(reused) << "no function landed on a reused id";
+}
+
+TEST(Bdd, AndExistsKeysOnTheMaskContent) {
+  // Same operands, different masks: each answer is its own. The masks are
+  // temporaries that may share one address, so only their content may
+  // enter the cache key.
+  Manager m(3);
+  const NodeId f = m.apply_and(m.var(0), m.var(1));
+  const NodeId g = m.var(2);
+  EXPECT_EQ(m.and_exists(f, g, {true, false, false}),
+            m.apply_and(m.var(1), m.var(2)));
+  EXPECT_EQ(m.and_exists(f, g, {false, true, false}),
+            m.apply_and(m.var(0), m.var(2)));
+  const NodeId expected[] = {m.apply_and(m.var(1), m.var(2)),
+                             m.apply_and(m.var(0), m.var(2)), f};
+  for (int round = 0; round < 2; ++round) {
+    for (int v = 0; v < 3; ++v) {
+      std::vector<bool> mask(3, false);
+      mask[static_cast<std::size_t>(v)] = true;
+      EXPECT_EQ(m.and_exists(f, g, mask), expected[v]) << "var " << v;
+    }
+  }
+}
+
 TEST(Bdd, NodeLimitThrows) {
   Manager m(16);
   m.set_node_limit(64);

@@ -318,6 +318,31 @@ TEST(Symbolic, SemanticConeMatchesVerdictWithSmallerEncoding) {
   EXPECT_EQ(structural.invariants_applied, 0);
 }
 
+TEST(Symbolic, ReadModeBddCountsArePinned) {
+  // The bench_coi read-mode rows at 1 bank. Every BDD result is canonical
+  // and the computed cache is emptied at each collection, so the BDD
+  // core's storage and caching cannot move these counts; a change to the
+  // encoding, the variable order or the operations' recursion can.
+  const core::RtlConfig cfg = core::RtlConfig::model_checking(1);
+  core::RtlDevice dev = core::build_device(cfg);
+  const rtl::Module flat = rtl::expand_memories(dev.flatten());
+  const rtl::BitBlast bb = rtl::bitblast(flat, core::clock_schedule(flat));
+  const psl::PropPtr prop = core::rtl_read_mode_property(cfg);
+
+  SymbolicOptions opt;
+  opt.node_limit = 2'000'000;
+  const SymbolicResult structural = check(bb, prop, opt);
+  opt.use_coi = true;
+  const SymbolicResult semantic = check(bb, prop, opt);
+
+  EXPECT_EQ(structural.outcome, SymbolicResult::Outcome::kHolds);
+  EXPECT_EQ(structural.peak_bdd_nodes, 11015u);
+  EXPECT_EQ(structural.created_bdd_nodes, 11015u);
+  EXPECT_EQ(semantic.outcome, SymbolicResult::Outcome::kHolds);
+  EXPECT_EQ(semantic.peak_bdd_nodes, 10752u);
+  EXPECT_EQ(semantic.created_bdd_nodes, 10752u);
+}
+
 TEST(Symbolic, SemanticConeSubsumesUseInvariants) {
   // use_coi takes precedence over use_invariants and applies at least the
   // same substitutions, so turning both on changes nothing.

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Local CI for la1kit: the tier-1 verify line, a static-lint gate, the
-# Table-1 ASM count gate, and a bench smoke run with structured JSON
-# reporting.
+# Table-1 ASM and Table-2 BDD count gates, and a bench smoke run with
+# structured JSON reporting.
 #
 #   tools/ci.sh                 # full build + ctest + lint gate + bench smoke
 #   tools/ci.sh --smoke-only    # skip build/ctest, just lint gate + smoke
@@ -455,12 +455,28 @@ if [ "$counts" != "19459 198418 120005 337042 " ]; then
 fi
 gate_done "ASM count gate passed (Table 1 FSM sizes at 1 and 2 banks)"
 
+# Table 2 count gate: the 1-bank RuleBase run's peak BDD nodes and
+# reachability iterations are exact counts of the symbolic checker. The
+# BDD core's tables and cache sizes cannot move them (every result is
+# canonical and the cache is emptied at each collection); a change to the
+# encoding, the variable order or an operation's recursion can, and fails
+# here. The report doubles as the bench smoke's Table 2 JSON.
+"$build_dir/bench/bench_table2_symbolic_mc" --max-banks 1 \
+  --json "$smoke_dir/table2.json" > /dev/null
+counts=$(sed -n 's/.*"peak_bdd_nodes": \([0-9]*\).*/\1/p
+                s/.*"iterations": \([0-9]*\).*/\1/p' \
+  "$smoke_dir/table2.json" | tr '\n' ' ')
+if [ "$counts" != "935004 9 " ]; then
+  echo "ci: Table 2 counts are '$counts'; want 935004 peak BDD nodes and" \
+    "9 iterations (1 bank)" >&2
+  exit 1
+fi
+gate_done "Table 2 count gate passed (1-bank peak BDD nodes and iterations)"
+
 # Bench smoke: every bench_table* binary must emit a parseable --json
 # report; the 3-way lockstep example must agree across the levels.
 "$build_dir/bench/bench_table1_asm_mc" --max-banks 1 --max-states 20000 \
   --json "$smoke_dir/table1.json" > /dev/null
-"$build_dir/bench/bench_table2_symbolic_mc" --max-banks 1 \
-  --json "$smoke_dir/table2.json" > /dev/null
 "$build_dir/bench/bench_table2_invariants" --max-banks 1 \
   --json "$smoke_dir/BENCH_table2_invariants.json" > /dev/null
 "$build_dir/bench/bench_table3_abv_sim" --banks-list 1 --sc-ticks 400 \
@@ -480,4 +496,4 @@ for f in table1 table2 BENCH_table2_invariants table3 coi plan nway; do
 done
 gate_done "bench smoke passed"
 
-echo "ci: tier-1 verify, lint, dataflow, flow-analysis, ASM counts, and bench smoke passed"
+echo "ci: tier-1 verify, lint, dataflow, flow-analysis, ASM and Table 2 counts, and bench smoke passed"
