@@ -45,6 +45,7 @@ class Compiler : public rtl::BitWalk<Compiler, BitRef> {
       out_.mems_.push_back(MemLayout{m.depth, m.width});
     }
     compile_comb();
+    mark_comb_reads();
     compile_steps();
     build_reset_image();
     out_.slot_count_ = next_slot_;
@@ -504,6 +505,68 @@ class Compiler : public rtl::BitWalk<Compiler, BitRef> {
         continue;
       }
       compile_tristate(node);
+    }
+  }
+
+  /// Flags every net with a slot the comb program reads. The accumulators
+  /// (kOrAcc, kAndOr) also read their destination.
+  void mark_comb_reads() {
+    std::vector<std::uint8_t> read(static_cast<std::size_t>(next_slot_), 0);
+    const auto mark = [&](std::int32_t slot) {
+      read[static_cast<std::size_t>(slot)] = 1;
+    };
+    for (const Instr& in : out_.comb_.code) {
+      switch (in.op) {
+        case OpCode::kConst:
+          break;
+        case OpCode::kMov:
+        case OpCode::kNot:
+          mark(in.s0);
+          break;
+        case OpCode::kMux:
+        case OpCode::kXor3:
+        case OpCode::kCarry:
+          mark(in.s2);
+          [[fallthrough]];
+        case OpCode::kAnd:
+        case OpCode::kOr:
+        case OpCode::kXor:
+        case OpCode::kXnor:
+        case OpCode::kNor:
+        case OpCode::kAndn:
+        case OpCode::kOrn:
+          mark(in.s0);
+          mark(in.s1);
+          break;
+        case OpCode::kAndOr:
+          mark(in.s1);
+          [[fallthrough]];
+        case OpCode::kOrAcc:
+          mark(in.d);
+          mark(in.s0);
+          break;
+        case OpCode::kMemRead:
+          for (const BitRef& bit :
+               out_.mem_reads_[static_cast<std::size_t>(in.imm)].addr) {
+            mark(bit.a);
+            mark(bit.b);
+          }
+          break;
+        case OpCode::kMemWrite:  // write ports live in step programs
+          break;
+      }
+    }
+    read[kZeroSlot] = 0;
+    read[kOnesSlot] = 0;
+    out_.comb_reads_.assign(out_.nets_.size(), 0);
+    for (std::size_t id = 0; id < out_.nets_.size(); ++id) {
+      const NetSlots& ns = out_.nets_[id];
+      for (std::size_t i = 0; i < ns.a.size(); ++i) {
+        if (read[static_cast<std::size_t>(ns.a[i])] ||
+            read[static_cast<std::size_t>(ns.b[i])]) {
+          out_.comb_reads_[id] = 1;
+        }
+      }
     }
   }
 

@@ -58,6 +58,13 @@ class Compiled {
   /// Power-on slot image: register inits broadcast across all 64 lanes
   /// (X inits raise the sideband), inputs and wires zero, pinned constants.
   const std::vector<std::uint64_t>& reset_image() const { return reset_image_; }
+  /// Whether the comb program reads any slot of `id` (an instruction
+  /// source or a memory-read address bit; the pinned slots 0 and 1 do not
+  /// count). Driving an input that comb does not read leaves the last
+  /// settle exact, so Machine::edge can skip its pre-edge settle.
+  bool comb_reads(rtl::NetId id) const {
+    return comb_reads_[static_cast<std::size_t>(id)] != 0;
+  }
 
   /// Word instructions across the comb program and all step programs —
   /// the static size the cost model is calibrated against.
@@ -76,6 +83,7 @@ class Compiled {
   std::vector<MemReadDesc> mem_reads_;
   std::vector<MemWriteDesc> mem_writes_;
   std::vector<std::uint64_t> reset_image_;
+  std::vector<std::uint8_t> comb_reads_;  // per net
 };
 
 /// Lowers `flat` under `plan` (which must have been analyzed from this

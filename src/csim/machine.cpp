@@ -1,5 +1,7 @@
 #include "csim/machine.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace la1::csim {
@@ -15,7 +17,77 @@ std::uint64_t width_mask(int width) {
   return width >= 64 ? ~0ull : (1ull << width) - 1;
 }
 
+/// Lane `lane`'s value of a bus, LSB-first: bit `lane` of the `plane`
+/// (aval or bval) slot of each of its first 64 bits.
+std::uint64_t gather_bits(const std::uint64_t* s,
+                          const std::vector<BitRef>& bits, int lane,
+                          std::int32_t BitRef::*plane) {
+  std::uint64_t v = 0;
+  const std::size_t n = std::min<std::size_t>(bits.size(), 64);
+  for (std::size_t i = 0; i < n; ++i) {
+    v |= ((s[bits[i].*plane] >> lane) & 1) << i;
+  }
+  return v;
+}
+
+/// One block-swap stage of transpose64; `m` selects the low J bits of
+/// every 2J-bit group. A fixed J keeps the inner loop straight-line.
+template <int J>
+void transpose_stage(std::uint64_t rows[64], std::uint64_t m) {
+  for (int k = 0; k < 64; k += 2 * J) {
+    for (int i = k; i < k + J; ++i) {
+      const std::uint64_t t = ((rows[i] >> J) ^ rows[i + J]) & m;
+      rows[i + J] ^= t;
+      rows[i] ^= t << J;
+    }
+  }
+}
+
+/// Below this many lane-bits a gather beats one 64x64 transpose.
+constexpr int kTransposeMinBits = 256;
+
+/// rows[lane] = lane's value of the bus `bits` (plane aval or bval), for
+/// every lane in `lanes`; other rows are left unspecified.
+void bus_rows(const std::uint64_t* s, const std::vector<BitRef>& bits,
+              std::int32_t BitRef::*plane, std::uint64_t lanes,
+              std::uint64_t rows[64]) {
+  const int n = static_cast<int>(std::min<std::size_t>(bits.size(), 64));
+  if (std::popcount(lanes) * n < kTransposeMinBits) {
+    for (; lanes != 0; lanes &= lanes - 1) {
+      const int lane = std::countr_zero(lanes);
+      rows[lane] = gather_bits(s, bits, lane, plane);
+    }
+    return;
+  }
+  for (int i = 0; i < n; ++i) {
+    rows[i] = s[bits[static_cast<std::size_t>(i)].*plane];
+  }
+  std::fill(rows + n, rows + 64, 0);
+  transpose64(rows);
+}
+
+/// OR of the bval words of `bits`: the lanes where any of them is X or Z.
+std::uint64_t unknown_lanes(const std::uint64_t* s,
+                            const std::vector<BitRef>& bits) {
+  std::uint64_t u = 0;
+  for (const BitRef& bit : bits) u |= s[bit.b];
+  return u;
+}
+
 }  // namespace
+
+void transpose64(std::uint64_t rows[64]) {
+  // Recursive block swap (Hacker's Delight 7-3), mirrored for LSB-first
+  // indexing: at block size J the top-right J x J block of every 2J x 2J
+  // tile (high bits of the upper rows) trades places with the bottom-left
+  // one (low bits of the lower rows).
+  transpose_stage<32>(rows, 0x00000000FFFFFFFFull);
+  transpose_stage<16>(rows, 0x0000FFFF0000FFFFull);
+  transpose_stage<8>(rows, 0x00FF00FF00FF00FFull);
+  transpose_stage<4>(rows, 0x0F0F0F0F0F0F0F0Full);
+  transpose_stage<2>(rows, 0x3333333333333333ull);
+  transpose_stage<1>(rows, 0x5555555555555555ull);
+}
 
 Machine::Machine(const Compiled& compiled, int lanes) : compiled_(&compiled) {
   set_lanes(lanes);
@@ -28,6 +100,7 @@ void Machine::set_lanes(int lanes) {
     throw std::invalid_argument("csim::Machine lanes must be in [1, 64]");
   }
   lanes_ = lanes;
+  settled_ = false;  // newly active lanes have no memory-read values yet
 }
 
 void Machine::reset() {
@@ -39,7 +112,7 @@ void Machine::reset() {
     mems_[m].b.assign(words, 0);
   }
   edges_ = 0;
-  run(compiled_->comb());
+  eval();
 }
 
 void Machine::run(const Program& p) {
@@ -111,33 +184,44 @@ void Machine::run(const Program& p) {
 void Machine::exec_mem_read(const MemReadDesc& d) {
   const MemImage& img = mems_[static_cast<std::size_t>(d.mem)];
   std::uint64_t* s = slots_.data();
+  // Any X/Z address bit, like LVec::to_uint, makes the read all-X; defined
+  // bits past 63 are dropped the same way.
+  const std::uint64_t unknown = unknown_lanes(s, d.addr);
+  std::uint64_t idx[64];
+  bus_rows(s, d.addr, &BitRef::a, width_mask(lanes_), idx);
+  // Gather one word per active lane, then turn the rows into slot words.
+  std::uint64_t rows_a[64];
+  std::uint64_t rows_b[64];
+  std::uint64_t any_b = 0;
   for (int lane = 0; lane < lanes_; ++lane) {
-    const std::uint64_t m = 1ull << lane;
-    // Decode this lane's address: any X/Z bit, like LVec::to_uint, makes
-    // the read all-X; defined bits past 63 are dropped the same way.
-    bool unknown = false;
-    std::uint64_t idx = 0;
-    for (std::size_t i = 0; i < d.addr.size(); ++i) {
-      if (s[d.addr[i].b] & m) unknown = true;
-      if (i < 64 && (s[d.addr[i].a] & m)) idx |= 1ull << i;
+    if (((unknown >> lane) & 1) != 0 ||
+        idx[lane] >= static_cast<std::uint64_t>(d.depth)) {
+      rows_a[lane] = ~0ull;
+      rows_b[lane] = ~0ull;
+    } else {
+      const std::size_t at = static_cast<std::size_t>(idx[lane]) * 64 +
+                             static_cast<std::size_t>(lane);
+      rows_a[lane] = img.a[at];
+      rows_b[lane] = img.b[at];
     }
-    if (unknown || idx >= static_cast<std::uint64_t>(d.depth)) {
-      for (int i = 0; i < d.width; ++i) {
-        s[d.out_a[static_cast<std::size_t>(i)]] |= m;
-        s[d.out_b[static_cast<std::size_t>(i)]] |= m;
-      }
-      continue;
-    }
-    const std::size_t w = static_cast<std::size_t>(idx) * 64 +
-                          static_cast<std::size_t>(lane);
-    const std::uint64_t va = img.a[w];
-    const std::uint64_t vb = img.b[w];
+    any_b |= rows_b[lane];
+  }
+  if (lanes_ == 1) {  // one row: spread its bits straight into the slots
     for (int i = 0; i < d.width; ++i) {
-      std::uint64_t& oa = s[d.out_a[static_cast<std::size_t>(i)]];
-      std::uint64_t& ob = s[d.out_b[static_cast<std::size_t>(i)]];
-      oa = (va >> i) & 1 ? (oa | m) : (oa & ~m);
-      ob = (vb >> i) & 1 ? (ob | m) : (ob & ~m);
+      s[d.out_a[static_cast<std::size_t>(i)]] = (rows_a[0] >> i) & 1;
+      s[d.out_b[static_cast<std::size_t>(i)]] = (rows_b[0] >> i) & 1;
     }
+    return;
+  }
+  std::fill(rows_a + lanes_, rows_a + 64, 0);
+  transpose64(rows_a);
+  if (any_b != 0) {
+    std::fill(rows_b + lanes_, rows_b + 64, 0);
+    transpose64(rows_b);
+  }
+  for (int i = 0; i < d.width; ++i) {
+    s[d.out_a[static_cast<std::size_t>(i)]] = rows_a[i];
+    s[d.out_b[static_cast<std::size_t>(i)]] = any_b != 0 ? rows_b[i] : 0;
   }
 }
 
@@ -145,18 +229,23 @@ void Machine::exec_mem_write(const MemWriteDesc& d) {
   MemImage& img = mems_[static_cast<std::size_t>(d.mem)];
   const std::uint64_t* s = slots_.data();
   const std::uint64_t wmask = width_mask(d.width);
-  for (int lane = 0; lane < lanes_; ++lane) {
+  // Only lanes whose wen is not 0 write; visit just those.
+  const std::uint64_t writing =
+      (s[d.wen.a] | s[d.wen.b]) & width_mask(lanes_);
+  if (writing == 0) return;
+  const std::uint64_t unknown_addr = unknown_lanes(s, d.addr);
+  const bool data_known = (unknown_lanes(s, d.data) & writing) == 0;
+  std::uint64_t idx[64];
+  std::uint64_t data_a[64];
+  std::uint64_t data_b[64];
+  bus_rows(s, d.addr, &BitRef::a, writing, idx);
+  bus_rows(s, d.data, &BitRef::a, writing, data_a);
+  if (!data_known) bus_rows(s, d.data, &BitRef::b, writing, data_b);
+  for (std::uint64_t left = writing; left != 0; left &= left - 1) {
+    const int lane = std::countr_zero(left);
     const std::uint64_t m = 1ull << lane;
-    const bool wen_a = (s[d.wen.a] & m) != 0;
     const bool wen_b = (s[d.wen.b] & m) != 0;
-    if (!wen_a && !wen_b) continue;  // wen == 0: no write
-    bool unknown = false;
-    std::uint64_t idx = 0;
-    for (std::size_t i = 0; i < d.addr.size(); ++i) {
-      if (s[d.addr[i].b] & m) unknown = true;
-      if (i < 64 && (s[d.addr[i].a] & m)) idx |= 1ull << i;
-    }
-    if (unknown) {
+    if ((unknown_addr & m) != 0) {
       // Possibly-active write to an unknown address: the whole memory is
       // suspect in this lane (CycleSim's all-X rule).
       for (int w = 0; w < d.depth; ++w) {
@@ -167,20 +256,18 @@ void Machine::exec_mem_write(const MemWriteDesc& d) {
       }
       continue;
     }
-    if (idx >= static_cast<std::uint64_t>(d.depth)) continue;  // SRAM decode
-    const std::size_t at = static_cast<std::size_t>(idx) * 64 +
+    if (idx[lane] >= static_cast<std::uint64_t>(d.depth)) {
+      continue;  // SRAM decode
+    }
+    const std::size_t at = static_cast<std::size_t>(idx[lane]) * 64 +
                            static_cast<std::size_t>(lane);
     if (wen_b) {  // wen X or Z: the touched word is unknown
       img.a[at] = wmask;
       img.b[at] = wmask;
       continue;
     }
-    std::uint64_t da = 0;
-    std::uint64_t db = 0;
-    for (std::size_t i = 0; i < d.data.size(); ++i) {
-      if (s[d.data[i].a] & m) da |= 1ull << i;
-      if (s[d.data[i].b] & m) db |= 1ull << i;
-    }
+    const std::uint64_t da = data_a[lane];
+    const std::uint64_t db = data_known ? 0 : data_b[lane];
     if (d.byte_enables.empty()) {
       img.a[at] = da;
       img.b[at] = db;
@@ -210,6 +297,7 @@ void Machine::set_input(rtl::NetId net, const rtl::LVec& value) {
   if (value.width() != n.width) {
     throw std::invalid_argument("set_input width mismatch on " + n.name);
   }
+  drove(net);
   const NetSlots& ns = compiled_->net_slots(net);
   for (int i = 0; i < n.width; ++i) {
     const rtl::Logic v = value.bit(i);
@@ -245,9 +333,8 @@ void Machine::set_input_lane(rtl::NetId net, int lane, const rtl::LVec& value) {
   if (value.width() != n.width) {
     throw std::invalid_argument("set_input width mismatch on " + n.name);
   }
-  if (lane < 0 || lane >= lanes_) {
-    throw std::invalid_argument("set_input_lane: lane out of range");
-  }
+  check_lane(lane, "set_input_lane");
+  drove(net);
   const NetSlots& ns = compiled_->net_slots(net);
   const std::uint64_t m = 1ull << lane;
   for (int i = 0; i < n.width; ++i) {
@@ -279,24 +366,26 @@ void Machine::set_input_lane_uint(rtl::NetId net, int lane,
     throw std::invalid_argument("set_input_lane_uint: " + n.name +
                                 " is wider than 64 bits");
   }
-  if (lane < 0 || lane >= lanes_) {
-    throw std::invalid_argument("set_input_lane: lane out of range");
-  }
+  check_lane(lane, "set_input_lane");
+  drove(net);
   const NetSlots& ns = compiled_->net_slots(net);
   const std::uint64_t m = 1ull << lane;
   for (int i = 0; i < n.width; ++i) {
     std::uint64_t& wa =
         slots_[static_cast<std::size_t>(ns.a[static_cast<std::size_t>(i)])];
-    wa = ((value >> i) & 1) != 0 ? (wa | m) : (wa & ~m);
+    wa = (wa & ~m) | (((value >> i) & 1) << lane);  // branch-free: random data
     const std::int32_t bs = ns.b[static_cast<std::size_t>(i)];
     if (bs != kZeroSlot) slots_[static_cast<std::size_t>(bs)] &= ~m;
   }
 }
 
-void Machine::eval() { run(compiled_->comb()); }
+void Machine::eval() {
+  run(compiled_->comb());
+  settled_ = true;
+}
 
 void Machine::edge(rtl::NetId clock, rtl::Edge e) {
-  run(compiled_->comb());  // settle pre-edge values
+  if (!settled_) run(compiled_->comb());  // settle pre-edge values
   const StepProgram* step = nullptr;
   for (const StepProgram& s : compiled_->steps()) {
     if (s.clock == clock && s.edge == e) {
@@ -316,7 +405,7 @@ void Machine::edge(rtl::NetId clock, rtl::Edge e) {
     }
   }
   ++edges_;
-  run(compiled_->comb());
+  eval();
 }
 
 void Machine::edge(const std::string& clock_name, rtl::Edge e) {
@@ -324,6 +413,7 @@ void Machine::edge(const std::string& clock_name, rtl::Edge e) {
 }
 
 rtl::LVec Machine::get(rtl::NetId net, int lane) const {
+  check_lane(lane, "get");
   const int width = compiled_->module().net(net).width;
   const NetSlots& ns = compiled_->net_slots(net);
   const std::uint64_t m = 1ull << lane;
@@ -351,6 +441,7 @@ std::uint64_t Machine::get_uint(const std::string& name, int lane) const {
 }
 
 bool Machine::bus_conflict(rtl::NetId net, int lane) const {
+  check_lane(lane, "bus_conflict");
   const NetSlots& ns = compiled_->net_slots(net);
   if (ns.conflict < 0) return false;
   return (slots_[static_cast<std::size_t>(ns.conflict)] & (1ull << lane)) != 0;
@@ -358,6 +449,7 @@ bool Machine::bus_conflict(rtl::NetId net, int lane) const {
 
 rtl::LVec Machine::mem_word(rtl::MemId mem, std::uint64_t addr,
                             int lane) const {
+  check_lane(lane, "mem_word");
   const MemLayout& layout = compiled_->mems().at(static_cast<std::size_t>(mem));
   if (addr >= static_cast<std::uint64_t>(layout.depth)) {
     throw std::out_of_range("csim::Machine::mem_word address out of range");
@@ -374,6 +466,7 @@ rtl::LVec Machine::mem_word(rtl::MemId mem, std::uint64_t addr,
 
 void Machine::poke_mem(rtl::MemId mem, std::uint64_t addr, int lane,
                        const rtl::LVec& value) {
+  check_lane(lane, "poke_mem");
   const MemLayout& layout = compiled_->mems().at(static_cast<std::size_t>(mem));
   if (addr >= static_cast<std::uint64_t>(layout.depth)) {
     throw std::out_of_range("csim::Machine::poke_mem address out of range");
@@ -390,6 +483,13 @@ void Machine::poke_mem(rtl::MemId mem, std::uint64_t addr, int lane,
   }
   img.a[at] = a;
   img.b[at] = b;
+  settled_ = false;  // a read port may see the new word
+}
+
+void Machine::check_lane(int lane, const char* what) const {
+  if (lane < 0 || lane >= lanes_) {
+    throw std::invalid_argument(std::string(what) + ": lane out of range");
+  }
 }
 
 rtl::NetId Machine::find_net(const std::string& name) const {

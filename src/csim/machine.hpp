@@ -11,7 +11,14 @@
 // is never observed; the memory built-ins — the only per-lane-cost
 // operations — skip lanes >= lanes(). set_lanes() bounds the occupied
 // prefix; per-lane stimulus goes in through set_input_lane and results come
-// out through get(net, lane).
+// out through get(net, lane). Every per-lane accessor rejects a lane
+// outside [0, lanes()).
+//
+// Settle rule: the comb program is a pure function of the inputs it reads,
+// the registers, the clocks and the memories. A Machine remembers whether
+// its last settle is still exact — reset, eval and edge make it so; driving
+// an input the comb program reads (Compiled::comb_reads) or poking a memory
+// breaks it — and edge() skips its pre-edge settle while it holds.
 #pragma once
 
 #include <cstdint>
@@ -24,12 +31,16 @@ namespace la1::csim {
 
 /// Per-lane backing store of one rtl memory: values are *untransposed*
 /// (bit i of `a[word * 64 + lane]` is the aval of bit i of that word in
-/// that lane), because addresses differ per lane so reads/writes gather
-/// and scatter lane by lane anyway.
+/// that lane), because addresses differ per lane; a read port gathers one
+/// word per lane and turns the rows into slot words with transpose64.
 struct MemImage {
   std::vector<std::uint64_t> a;
   std::vector<std::uint64_t> b;
 };
+
+/// In-place transpose of a 64x64 bit matrix, LSB-first on both axes: bit
+/// j of row i moves to bit i of row j.
+void transpose64(std::uint64_t rows[64]);
 
 class Machine {
  public:
@@ -63,7 +74,8 @@ class Machine {
   /// Settles the combinational cloud (CycleSim::eval).
   void eval();
 
-  /// One clock edge: settle, sample-and-commit every matching process,
+  /// One clock edge: settle (skipped while the last settle is exact; see
+  /// the settle rule above), sample-and-commit every matching process,
   /// settle again — CycleSim::edge, for all lanes at once.
   void edge(rtl::NetId clock, rtl::Edge e);
   void edge(const std::string& clock_name, rtl::Edge e);
@@ -90,9 +102,14 @@ class Machine {
   void exec_mem_read(const MemReadDesc& d);
   void exec_mem_write(const MemWriteDesc& d);
   rtl::NetId find_net(const std::string& name) const;
+  void check_lane(int lane, const char* what) const;
+  void drove(rtl::NetId net) {
+    if (compiled_->comb_reads(net)) settled_ = false;
+  }
 
   const Compiled* compiled_;
   int lanes_ = 64;
+  bool settled_ = false;  // the slots hold comb's settle of the current state
   std::vector<std::uint64_t> slots_;
   std::vector<MemImage> mems_;
   std::int64_t edges_ = 0;

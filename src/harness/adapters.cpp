@@ -154,6 +154,11 @@ std::uint64_t BehavioralDeviceModel::memory_word(int bank,
 RtlDeviceModel::RtlDeviceModel(
     const core::RtlConfig& cfg, RtlBackend backend,
     const std::function<void(rtl::Module&)>& instrument)
+    : RtlDeviceModel(cfg, backend, instrument, 1) {}
+
+RtlDeviceModel::RtlDeviceModel(
+    const core::RtlConfig& cfg, RtlBackend backend,
+    const std::function<void(rtl::Module&)>& instrument, int lanes)
     : DeviceModel(backend == RtlBackend::kCompiled ? "csim" : "rtl",
                   rtl_geometry(cfg)),
       cfg_(cfg),
@@ -166,7 +171,7 @@ RtlDeviceModel::RtlDeviceModel(
   if (backend == RtlBackend::kCompiled) {
     compiled_ = std::make_unique<csim::Compiled>(
         csim::compile(flat_, core::clock_schedule(flat_)));
-    machine_ = std::make_unique<csim::Machine>(*compiled_, 64);
+    machine_ = std::make_unique<csim::Machine>(*compiled_, lanes);
   }
 
   for (int b = 0; b < cfg.banks; ++b) {
@@ -194,6 +199,13 @@ RtlDeviceModel::RtlDeviceModel(
     bank_mems_.push_back(mem);
   }
   dout_net_ = flat_.find_net("DOUT");
+  r_n_ = flat_.find_net("R_n");
+  w_n_ = flat_.find_net("W_n");
+  addr_ = flat_.find_net("A");
+  din_ = flat_.find_net("D");
+  bwe_n_ = flat_.find_net("BWE_n");
+  clock_k_ = flat_.find_net("K");
+  clock_ks_ = flat_.find_net("KS");
 
   for (int b = 0; b < cfg.banks; ++b) {
     const std::string p = "b" + std::to_string(b) + ".";
@@ -257,18 +269,23 @@ bool RtlDeviceModel::any_dout_valid() const {
 }
 
 void RtlDeviceModel::apply_edge(const EdgePins& pins) {
-  const auto drive = [&](auto& sim) {
-    sim.set_input_bit("R_n", pins.r_sel_n);
-    sim.set_input_bit("W_n", pins.w_sel_n);
-    sim.set_input("A", pins.addr);
-    sim.set_input("D", core::pack_beat(pins.din_data, cfg_.data_bits));
-    sim.set_input("BWE_n", pins.bwe_n);
-    sim.edge(pins.edge == Edge::kK ? "K" : "KS", rtl::Edge::kPos);
-  };
+  const std::pair<rtl::NetId, std::uint64_t> drive[] = {
+      {r_n_, pins.r_sel_n ? 1u : 0u},
+      {w_n_, pins.w_sel_n ? 1u : 0u},
+      {addr_, pins.addr},
+      {din_, core::pack_beat(pins.din_data, cfg_.data_bits)},
+      {bwe_n_, pins.bwe_n}};
+  const rtl::NetId clock = pins.edge == Edge::kK ? clock_k_ : clock_ks_;
   if (machine_) {
-    drive(*machine_);
+    for (const auto& [net, value] : drive) {
+      machine_->set_input_lane_uint(net, 0, value);
+    }
+    machine_->edge(clock, rtl::Edge::kPos);
   } else {
-    drive(*sim_);
+    for (const auto& [net, value] : drive) {
+      sim_->set_input(net, rtl::LVec::from_uint(value, flat_.net(net).width));
+    }
+    sim_->edge(clock, rtl::Edge::kPos);
   }
 }
 

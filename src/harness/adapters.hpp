@@ -85,9 +85,10 @@ RtlBackend rtl_backend_from_string(const std::string& s);
 /// The elaborated RTL netlist as a DeviceModel, behind either simulator:
 /// the interpreted rtl::CycleSim ("rtl"), or the compiled bit-parallel
 /// backend of src/csim ("csim") — the module lowered once through
-/// csim::compile, every tick running lane 0 of a 64-lane csim::Machine.
-/// Taps, dout and memory words decode the same nets on both backends, so
-/// the two are observation-interchangeable in lockstep.
+/// csim::compile and run on a one-lane csim::Machine, since the model
+/// carries one stimulus stream. Taps, dout and memory words decode the
+/// same nets on both backends (lane 0 on the compiled one), so the two are
+/// observation-interchangeable in lockstep.
 class RtlDeviceModel : public DeviceModel {
  public:
   /// `instrument` runs on the flat module before the simulator is built —
@@ -112,6 +113,11 @@ class RtlDeviceModel : public DeviceModel {
   const rtl::Module& flat() const { return flat_; }
 
  protected:
+  /// `lanes` sizes the compiled machine (ignored when interpreted).
+  RtlDeviceModel(const core::RtlConfig& cfg, RtlBackend backend,
+                 const std::function<void(rtl::Module&)>& instrument,
+                 int lanes);
+
   void do_reset() override;
 
  private:
@@ -130,19 +136,29 @@ class RtlDeviceModel : public DeviceModel {
   std::vector<BankNets> bank_nets_;
   std::vector<rtl::MemId> bank_mems_;
   rtl::NetId dout_net_ = rtl::kInvalidId;
+  // The pins apply_edge drives, resolved once.
+  rtl::NetId r_n_ = rtl::kInvalidId;
+  rtl::NetId w_n_ = rtl::kInvalidId;
+  rtl::NetId addr_ = rtl::kInvalidId;
+  rtl::NetId din_ = rtl::kInvalidId;
+  rtl::NetId bwe_n_ = rtl::kInvalidId;
+  rtl::NetId clock_k_ = rtl::kInvalidId;
+  rtl::NetId clock_ks_ = rtl::kInvalidId;
   // Ordered on purpose: every container on the stimulus/trace path must
   // iterate deterministically so traces are byte-reproducible from seed.
   std::map<std::string, std::function<bool()>> taps_;
 };
 
-/// RtlDeviceModel on the compiled backend, under the name the benchmark
-/// driver (perfbench/) builds its 64-lane rig with.
+/// The 64-lane device: RtlDeviceModel on the compiled backend with every
+/// bit-lane of its machine active. apply_edge and the taps drive and read
+/// lane 0; a multi-stream rig (bench_table3_abv_sim, perfbench/) drives
+/// each lane itself through machine().set_input_lane_uint.
 class CsimDeviceModel : public RtlDeviceModel {
  public:
   explicit CsimDeviceModel(
       const core::RtlConfig& cfg,
       const std::function<void(rtl::Module&)>& instrument = {})
-      : RtlDeviceModel(cfg, RtlBackend::kCompiled, instrument) {}
+      : RtlDeviceModel(cfg, RtlBackend::kCompiled, instrument, 64) {}
 };
 
 /// One RTL DeviceModel plus a backend-neutral net readback (the hook OVL

@@ -4,7 +4,9 @@
 // must leave every stream's hash unchanged, and running at partial
 // occupancy (1, 63, 64 active lanes) must reproduce the same per-stream
 // hashes the full-width run produced — lanes carry no crosstalk, in nets
-// or in the per-lane memory images.
+// or in the per-lane memory images. Further cases pin the per-lane
+// accessors' bounds, the settle rule (edge() without eval() against
+// CycleSim) and the bit transpose behind the memory ports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include "csim/compile.hpp"
 #include "csim/machine.hpp"
 #include "rtl/netlist.hpp"
+#include "rtl/sim.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -188,6 +191,151 @@ TEST(CsimLanes, LaneCountValidation) {
   EXPECT_THROW(
       machine.set_input_lane(m.find_net("I"), 64, rtl::LVec::zeros(8)),
       std::invalid_argument);
+}
+
+TEST(CsimLanes, PerLaneAccessorsRejectLanesOutsideTheActivePrefix) {
+  const rtl::Module m = lane_module();
+  const Compiled compiled = compile(m);
+  const rtl::NetId i = m.find_net("I");
+  const rtl::NetId bus = m.find_net("BUS");
+  for (const int lanes : {1, 64}) {
+    Machine machine(compiled, lanes);
+    for (const int bad : {-1, lanes, 64, 65}) {
+      EXPECT_THROW(machine.get(i, bad), std::invalid_argument) << bad;
+      EXPECT_THROW(machine.bus_conflict(bus, bad), std::invalid_argument)
+          << bad;
+      EXPECT_THROW(machine.mem_word(0, 0, bad), std::invalid_argument) << bad;
+      EXPECT_THROW(machine.poke_mem(0, 0, bad, rtl::LVec::zeros(8)),
+                   std::invalid_argument)
+          << bad;
+      EXPECT_THROW(machine.set_input_lane_uint(i, bad, 0),
+                   std::invalid_argument)
+          << bad;
+    }
+    EXPECT_NO_THROW(machine.get(i, lanes - 1));
+    EXPECT_NO_THROW(machine.bus_conflict(bus, lanes - 1));
+    EXPECT_NO_THROW(machine.mem_word(0, 0, lanes - 1));
+    EXPECT_NO_THROW(machine.poke_mem(0, 0, lanes - 1, rtl::LVec::zeros(8)));
+  }
+}
+
+/// lane_module plus registers that sample its comb cloud (RD reads the
+/// memory at an input-driven address, BUS resolves input-driven drivers),
+/// so a stale pre-edge settle would reach a register.
+rtl::Module settle_module() {
+  rtl::Module m = lane_module();
+  const rtl::ProcId p = m.process("sample", m.find_net("K"), rtl::Edge::kPos);
+  m.nonblocking(p, m.reg("RDQ", 8, std::uint64_t{0}), m.ref("RD"));
+  m.nonblocking(p, m.reg("BUSQ", 1, std::uint64_t{0}), m.ref("BUS"));
+  return m;
+}
+
+/// Every net, every memory word and the conflict tap of lane 0 agree.
+void expect_lane0_matches(const rtl::Module& m, const Machine& machine,
+                          const rtl::CycleSim& sim, int tick) {
+  for (rtl::NetId net = 0; net < m.net_count(); ++net) {
+    EXPECT_EQ(machine.get(net, 0).to_string(), sim.get(net).to_string())
+        << m.net(net).name << " at tick " << tick;
+    EXPECT_EQ(machine.bus_conflict(net, 0), sim.enabled_drivers(net) >= 2)
+        << m.net(net).name << " at tick " << tick;
+  }
+  for (std::uint64_t a = 0; a < 4; ++a) {
+    EXPECT_EQ(machine.mem_word(0, a, 0).to_string(),
+              sim.mem_word(0, a).to_string())
+        << "word " << a << " at tick " << tick;
+  }
+}
+
+TEST(CsimSettle, EdgeWithoutEvalMatchesCycleSim) {
+  // Inputs are driven straight into edge() with no eval(): the machine
+  // must settle before sampling whenever a driven input feeds the comb
+  // cloud, and may skip that settle only when nothing it reads moved.
+  const rtl::Module m = settle_module();
+  const Compiled compiled = compile(m);
+  const rtl::NetId i = m.find_net("I");
+  const rtl::NetId j = m.find_net("J");
+  ASSERT_TRUE(compiled.comb_reads(i));
+  ASSERT_TRUE(compiled.comb_reads(j));
+  for (const int lanes : {1, 64}) {
+    Machine machine(compiled, lanes);
+    rtl::CycleSim sim(m);
+    util::Rng rng(kSeed + static_cast<std::uint64_t>(lanes));
+    // CycleSim's inputs start X, the machine's zero: agree before tick 0.
+    for (const char* name : {"K", "I", "J"}) {
+      machine.set_input(name, 0);
+      sim.set_input(name, 0);
+    }
+    for (int t = 0; t < 4 * kTicks; ++t) {
+      const std::uint64_t beat = rng.below(256);
+      const bool jbit = rng.next_bool();
+      switch (rng.below(3)) {
+        case 0:  // both inputs, through the lane path
+          machine.set_input_lane_uint(i, 0, beat);
+          machine.set_input_lane_uint(j, 0, jbit ? 1 : 0);
+          sim.set_input(i, rtl::LVec::from_uint(beat, 8));
+          sim.set_input(j, rtl::LVec::from_uint(jbit, 1));
+          break;
+        case 1:  // one input, broadcast
+          machine.set_input(i, rtl::LVec::from_uint(beat, 8));
+          sim.set_input(i, rtl::LVec::from_uint(beat, 8));
+          break;
+        default:  // nothing driven: the last settle stays exact
+          break;
+      }
+      machine.edge("K", rtl::Edge::kPos);
+      sim.edge("K", rtl::Edge::kPos);
+      expect_lane0_matches(m, machine, sim, t);
+      machine.edge("K", rtl::Edge::kNeg);
+      sim.edge("K", rtl::Edge::kNeg);
+    }
+  }
+}
+
+TEST(CsimSettle, PokeMemThenEdgeWithoutEvalMatchesCycleSim) {
+  const rtl::Module m = settle_module();
+  const Compiled compiled = compile(m);
+  Machine machine(compiled, 1);
+  rtl::CycleSim sim(m);
+  util::Rng rng(kSeed);
+  for (const char* name : {"K", "J"}) {
+    machine.set_input(name, 0);
+    sim.set_input(name, 0);
+  }
+  for (int t = 0; t < kTicks; ++t) {
+    const std::uint64_t addr = rng.below(4);
+    machine.set_input("I", addr);
+    sim.set_input("I", addr);
+    machine.eval();
+    sim.eval();
+    // The read port now shows the old word; poke it, then edge at once.
+    const rtl::LVec word = rtl::LVec::from_uint(rng.below(256), 8);
+    machine.poke_mem(0, addr, 0, word);
+    sim.poke_mem(0, addr, word);
+    machine.edge("K", rtl::Edge::kPos);
+    sim.edge("K", rtl::Edge::kPos);
+    expect_lane0_matches(m, machine, sim, t);
+    machine.edge("K", rtl::Edge::kNeg);
+    sim.edge("K", rtl::Edge::kNeg);
+  }
+}
+
+TEST(CsimTranspose, MovesBitJOfRowIToBitIOfRowJAndIsAnInvolution) {
+  util::Rng rng(kSeed);
+  for (int round = 0; round < 32; ++round) {
+    std::uint64_t in[64];
+    for (std::uint64_t& row : in) row = rng.next_u64();
+    std::uint64_t out[64];
+    std::copy(in, in + 64, out);
+    transpose64(out);
+    for (int r = 0; r < 64; ++r) {
+      for (int c = 0; c < 64; ++c) {
+        ASSERT_EQ((out[c] >> r) & 1, (in[r] >> c) & 1)
+            << "row " << r << " column " << c << " (round " << round << ")";
+      }
+    }
+    transpose64(out);
+    EXPECT_TRUE(std::equal(in, in + 64, out)) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -65,6 +65,29 @@ TEST(RtlPins, CsimProgramOfTheStockDevice) {
   }
 }
 
+TEST(RtlPins, CsimCombProgramOfTheStockDeviceReadsOnlyTheClocks) {
+  // The settle rule's payoff: no data or control pin feeds the comb
+  // program, so driving a tick's pins never forces a pre-edge settle.
+  for (const BankPins& pin : kPins) {
+    core::RtlConfig cfg;
+    cfg.banks = pin.banks;
+    const rtl::Module flat = core::build_device(cfg).flatten();
+    const csim::Compiled compiled =
+        csim::compile(flat, core::clock_schedule(flat));
+    int inputs = 0;
+    for (rtl::NetId id = 0; id < flat.net_count(); ++id) {
+      const rtl::Net& n = flat.net(id);
+      if (n.kind != rtl::NetKind::kInput || n.name == "K" || n.name == "KS") {
+        continue;
+      }
+      ++inputs;
+      EXPECT_FALSE(compiled.comb_reads(id))
+          << n.name << " at " << pin.banks << " bank(s)";
+    }
+    EXPECT_EQ(inputs, 5) << pin.banks << " bank(s)";  // R_n W_n A D BWE_n
+  }
+}
+
 TEST(RtlPins, BitGraphOfTheOneBankModelCheckingGeometry) {
   const core::RtlDevice dev =
       core::build_device(core::RtlConfig::model_checking(1));

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -218,6 +219,29 @@ int run_capturing(const std::string& command, std::string* output) {
   buf << in.rdbuf();
   *output = buf.str();
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ToolsCli, FlowSeedOptionReachesTheFlow) {
+  // `flow` runs at FlowOptions' default seed 7, so `--seed 7` must print
+  // the same report, byte for byte once the per-stage wall times are
+  // dropped. An ignored option would pass that too, so a seed whose fault
+  // stage is known to miss mutants (11, ROADMAP item 2) must fail.
+  const auto flow = [](const std::string& args, int* code) {
+    std::string out;
+    *code = run_capturing(std::string(LA1_LA1CHECK) + " flow" + args, &out);
+    return std::regex_replace(out, std::regex(R"( \([0-9]+ ms\))"), "");
+  };
+  int plain_code = -1;
+  const std::string plain = flow("", &plain_code);
+  EXPECT_EQ(plain_code, 0) << plain;
+  int seed7_code = -1;
+  EXPECT_EQ(flow(" --seed 7", &seed7_code), plain);
+  EXPECT_EQ(seed7_code, 0);
+  int seed11_code = -1;
+  const std::string seed11 = flow(" --seed 11", &seed11_code);
+  EXPECT_EQ(seed11_code, 1) << seed11;
+  EXPECT_NE(seed11.find("[FAIL] fault-injection campaign"), std::string::npos)
+      << seed11;
 }
 
 TEST(ToolsCli, MisspelledOptionsAreRejectedBeforeAnyWork) {

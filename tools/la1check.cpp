@@ -730,6 +730,8 @@ int run_msc(const util::Cli& cli) {
 int run_flow(const util::Cli& cli) {
   refine::FlowOptions opt;
   opt.banks = static_cast<int>(cli.get_int("banks", 1));
+  opt.seed = static_cast<std::uint64_t>(
+      cli.get_int("seed", static_cast<std::int64_t>(opt.seed)));
   const refine::FlowReport report = refine::run_flow(opt);
   std::fputs(report.render().c_str(), stdout);
   return report.ok ? 0 : 1;
