@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
 #include <optional>
-#include <set>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "asml/successors.hpp"
+#include "psl/dfa.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
@@ -28,38 +26,12 @@ using asml::SuccessorGraph;
 
 constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-/// An Env that lets a monitor sample only its property's atoms, so that a
-/// memoized step cannot depend on a signal the letter does not record.
-class AtomEnv : public psl::Env {
+/// The letter ids of ASM states for one property: each state's valuation
+/// of the property's atoms, interned, computed once per state.
+class Letters {
  public:
-  AtomEnv(const std::vector<std::string>& atoms, const asml::State& s)
-      : atoms_(&atoms), env_(s) {}
-  bool sample(const std::string& signal) const override {
-    if (std::find(atoms_->begin(), atoms_->end(), signal) == atoms_->end()) {
-      throw std::logic_error("monitor sampled '" + signal +
-                             "', which its property does not name");
-    }
-    return env_.sample(signal);
-  }
-
- private:
-  const std::vector<std::string>* atoms_;
-  StateEnv env_;
-};
-
-/// A property's monitor as a deterministic automaton, built on the fly.
-/// States are the distinct Monitor::encode() strings reached; letters are
-/// atom valuations of ASM states. A step is computed by cloning the
-/// representative monitor and stepping it on the real ASM state (StateEnv),
-/// once per (state, letter); later steps are table lookups.
-class LazyMonitor {
- public:
-  LazyMonitor(const psl::PropPtr& prop, const asml::State& layout)
-      : prop_(prop) {
-    std::set<std::string> signals;
-    psl::collect_signals(*prop, signals);
-    for (const std::string& signal : signals) {
-      atoms_.push_back(signal);
+  Letters(const std::vector<std::string>& atoms, const asml::State& layout) {
+    for (const std::string& signal : atoms) {
       Atom a;
       const std::size_t eq = signal.find('=');
       const std::string loc =
@@ -70,32 +42,34 @@ class LazyMonitor {
       if (eq != std::string::npos) {
         a.want = std::string(util::trim(signal.substr(eq + 1)));
       }
-      resolved_.push_back(std::move(a));
+      atoms_.push_back(std::move(a));
     }
   }
 
-  /// The monitor after sampling the initial state (cycle 0).
-  std::uint32_t initial(const asml::State& s) {
-    auto monitor = psl::compile(prop_);
-    monitor->step(AtomEnv(atoms_, s));
-    return intern(std::move(monitor));
+  /// The letter of ASM state `id`. Each atom contributes 0 or 1, or 2
+  /// where sampling it throws (a missing or non-boolean location); the
+  /// real sample on a Dfa miss then throws the same way whenever the
+  /// monitor reads that atom.
+  std::uint32_t of(std::uint32_t id, const SuccessorGraph& graph) {
+    if (id >= of_.size()) of_.resize(graph.size(), kNone);
+    if (of_[id] != kNone) return of_[id];
+    const asml::State& s = graph.state(id);
+    std::string valuation(atoms_.size(), '2');
+    for (std::size_t i = 0; i < atoms_.size(); ++i) {
+      const Atom& a = atoms_[i];
+      if (!a.slot) continue;
+      const asml::Value& v = s[*a.slot];
+      if (a.want) {
+        valuation[i] = v.to_string() == *a.want ? '1' : '0';
+      } else if (v.is_bool()) {
+        valuation[i] = v.as_bool() ? '1' : '0';
+      }
+    }
+    const auto [it, inserted] = ids_.try_emplace(
+        std::move(valuation), static_cast<std::uint32_t>(ids_.size()));
+    of_[id] = it->second;
+    return it->second;
   }
-
-  /// The monitor `from` after sampling ASM state `to` of `graph`.
-  std::uint32_t step(std::uint32_t from, std::uint32_t to,
-                     const SuccessorGraph& graph) {
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(from) << 32 | letter(to, graph);
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    auto monitor = reps_[from]->clone();
-    monitor->step(AtomEnv(atoms_, graph.state(to)));
-    const std::uint32_t next = intern(std::move(monitor));
-    memo_.emplace(key, next);
-    return next;
-  }
-
-  bool failed(std::uint32_t id) const { return failed_[id]; }
 
  private:
   /// How StateEnv samples an atom: "loc" reads a boolean, "loc=value"
@@ -105,52 +79,9 @@ class LazyMonitor {
     std::optional<std::string> want;
   };
 
-  /// Id of the atom valuation of ASM state `id`, computed once per state.
-  /// Each atom contributes 0 or 1, or 2 where sampling it throws (a missing
-  /// or non-boolean location); the real sample on a memo miss then throws
-  /// the same way whenever the monitor reads that atom.
-  std::uint32_t letter(std::uint32_t id, const SuccessorGraph& graph) {
-    if (id >= letter_of_.size()) letter_of_.resize(graph.size(), kNone);
-    if (letter_of_[id] != kNone) return letter_of_[id];
-    const asml::State& s = graph.state(id);
-    std::string valuation(resolved_.size(), '2');
-    for (std::size_t i = 0; i < resolved_.size(); ++i) {
-      const Atom& a = resolved_[i];
-      if (!a.slot) continue;
-      const asml::Value& v = s[*a.slot];
-      if (a.want) {
-        valuation[i] = v.to_string() == *a.want ? '1' : '0';
-      } else if (v.is_bool()) {
-        valuation[i] = v.as_bool() ? '1' : '0';
-      }
-    }
-    const auto [it, inserted] = letters_.try_emplace(
-        std::move(valuation), static_cast<std::uint32_t>(letters_.size()));
-    letter_of_[id] = it->second;
-    return it->second;
-  }
-
-  std::uint32_t intern(std::unique_ptr<psl::Monitor> monitor) {
-    const auto [it, inserted] = ids_.try_emplace(
-        monitor->encode(), static_cast<std::uint32_t>(reps_.size()));
-    if (inserted) {
-      failed_.push_back(monitor->current() == psl::Verdict::kFailed);
-      reps_.push_back(std::move(monitor));
-    }
-    return it->second;
-  }
-
-  psl::PropPtr prop_;
-  std::vector<std::string> atoms_;  // collect_signals order
-  std::vector<Atom> resolved_;      // per atom
-
-  std::unordered_map<std::string, std::uint32_t> letters_;
-  std::vector<std::uint32_t> letter_of_;  // per ASM id; kNone until computed
-
-  std::unordered_map<std::string, std::uint32_t> ids_;  // encode() -> id
-  std::vector<std::unique_ptr<psl::Monitor>> reps_;     // first of each id
-  std::vector<bool> failed_;
-  std::unordered_map<std::uint64_t, std::uint32_t> memo_;  // (id, letter)
+  std::vector<Atom> atoms_;  // per property atom
+  std::unordered_map<std::string, std::uint32_t> ids_;  // valuation -> id
+  std::vector<std::uint32_t> of_;  // per ASM id; kNone until computed
 };
 
 /// The product of `graph` with the monitor of `prop`, searched breadth
@@ -159,7 +90,12 @@ ExplicitResult check_product(SuccessorGraph& graph, const psl::PropPtr& prop,
                              const ExplicitOptions& options) {
   util::CpuStopwatch cpu;
   ExplicitResult result;
-  LazyMonitor monitor(prop, graph.state(0));
+  psl::Dfa monitor(prop);
+  Letters letters(monitor.atoms(), graph.state(0));
+  // The monitor `from` after sampling ASM state `to` (one cycle).
+  auto step = [&](std::uint32_t from, std::uint32_t to) {
+    return monitor.step(from, letters.of(to, graph), StateEnv(graph.state(to)));
+  };
 
   struct ProductState {
     std::uint32_t asm_id = 0;
@@ -203,7 +139,7 @@ ExplicitResult check_product(SuccessorGraph& graph, const psl::PropPtr& prop,
 
   // Initial product state: the monitor samples the initial ASM state
   // (cycle 0), which counts as explored even when it already fails.
-  const std::uint32_t initial = monitor.initial(graph.state(0));
+  const std::uint32_t initial = step(psl::Dfa::kInitial, 0);
   intern(ProductState{0, initial, -1, {}});
   if (monitor.failed(initial)) {
     result.violated = true;
@@ -227,7 +163,7 @@ ExplicitResult check_product(SuccessorGraph& graph, const psl::PropPtr& prop,
         break;
       }
       ++result.product_transitions;
-      const std::uint32_t next = monitor.step(from.monitor, e.to, graph);
+      const std::uint32_t next = step(from.monitor, e.to);
       const auto [id, is_new] = intern(ProductState{e.to, next, at, e});
       if (monitor.failed(next)) {
         result.violated = true;

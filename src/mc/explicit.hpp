@@ -8,11 +8,12 @@
 // and the BFS tree path to it is the counterexample.
 //
 // Both halves of the product are integers. ASM states are ids of an
-// asml::SuccessorGraph. Monitor states are ids of the distinct monitor
-// encodings (Monitor::encode, the identity psl::determinize uses); the
-// monitor is determinized lazily, only for the letters the design
-// produces: a letter is the valuation of the property's atoms in an ASM
-// state, and each (monitor id, letter) is stepped once and memoized.
+// asml::SuccessorGraph; monitor states are states of the property's
+// psl::Dfa, the monitor automaton ABV and the symbolic observer also use.
+// The letter of an ASM state is its interned valuation of the property's
+// atoms, so the Dfa is determinized only for the letters the design
+// produces, and each (monitor state, letter) is stepped on a real ASM
+// state once.
 #pragma once
 
 #include <cstdint>

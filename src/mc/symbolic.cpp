@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cmath>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -58,19 +58,8 @@ class BitBlastSignals : public lint::SignalModel {
 
 }  // namespace
 
-Observer build_observer(const psl::PropPtr& prop, int max_states) {
-  // The observer is the safety view of the determinized monitor table.
-  const psl::DfaTable table = psl::determinize(prop, max_states);
-  Observer obs;
-  obs.atoms = table.atoms;
-  obs.state_count = table.state_count;
-  obs.init_state = table.init_state;
-  obs.next = table.next;
-  obs.bad.reserve(table.verdict.size());
-  for (const psl::Verdict v : table.verdict) {
-    obs.bad.push_back(v == psl::Verdict::kFailed);
-  }
-  return obs;
+psl::Dfa build_observer(const psl::PropPtr& prop) {
+  return psl::determinize(prop);
 }
 
 namespace {
@@ -328,7 +317,7 @@ int atom_bit_node(const rtl::BitBlast& bb, const std::string& name) {
 /// Image of `from` under the transition conjuncts, renamed back to current
 /// variables. `partitioned` enables early quantification.
 bdd::NodeId image(const Encoding& enc, bdd::NodeId from, bool partitioned,
-                  std::uint64_t gc_threshold, bool verbose) {
+                  std::uint64_t gc_threshold) {
   bdd::Manager& mgr = *enc.mgr;
   if (!partitioned) {
     bdd::NodeId t = bdd::kTrue;
@@ -351,16 +340,7 @@ bdd::NodeId image(const Encoding& enc, bdd::NodeId from, bool partitioned,
     mgr.ref(next_acc);
     mgr.deref(acc);
     acc = next_acc;
-    if (mgr.live_nodes() > gc_threshold) {
-      mgr.collect_garbage();
-      if (verbose) {
-        std::fprintf(stderr,
-                     "[symbolic]   conjunct %zu/%zu: |acc|=%llu live=%llu\n",
-                     ci + 1, enc.conjuncts.size(),
-                     static_cast<unsigned long long>(mgr.dag_size(acc)),
-                     static_cast<unsigned long long>(mgr.live_nodes()));
-      }
-    }
+    if (mgr.live_nodes() > gc_threshold) mgr.collect_garbage();
   }
   // Variables never mentioned by any conjunct (e.g. unused inputs) still
   // need quantification out of `from`.
@@ -456,8 +436,10 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
     }
   }
 
-  const Observer obs = build_observer(prop);
-  const unsigned letters = 1u << obs.atoms.size();
+  // Dropped once encoded: its small allocations would otherwise stay live
+  // among the BDD tables as they grow, which costs peak RSS.
+  std::optional<psl::Dfa> obs = build_observer(prop);
+  const std::uint32_t letters = 1u << obs->atoms().size();
 
   // Invariant substitution table (empty when use_invariants and use_coi are
   // both off). Substituted bits are excluded from the active set below:
@@ -472,9 +454,7 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
       swept = dfa::sweep(design);
       inv = &swept;
     }
-    cone = flow::mc_cone(
-        design, std::vector<std::string>(obs.atoms.begin(), obs.atoms.end()),
-        *inv);
+    cone = flow::mc_cone(design, obs->atoms(), *inv);
     have_cone = true;
     for (std::size_t k = 0; k < cone.subst.size(); ++k) {
       switch (cone.subst[k].kind) {
@@ -523,7 +503,7 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
       }
     } else if (options.cone_of_influence) {
       std::vector<bool> var_mask(design.vars.size(), false);
-      for (const std::string& name : obs.atoms) {
+      for (const std::string& name : obs->atoms()) {
         design.graph.support(atom_bit_node(design, name), var_mask);
       }
       std::vector<bool> in_cone(n, false);
@@ -563,7 +543,7 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
   enc.bb = &design;
   enc.n_model = static_cast<int>(active.size());
   enc.n_obs = 0;
-  while ((1 << enc.n_obs) < obs.state_count) ++enc.n_obs;
+  while ((1u << enc.n_obs) < obs->state_count()) ++enc.n_obs;
   enc.n_state = enc.n_model + enc.n_obs;
   // Inputs outside the semantic cone occur in no conjunct and no atom, so
   // encoding them would only widen the quantification mask for nothing.
@@ -700,17 +680,11 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
           translate(design.next_fn[static_cast<std::size_t>(k)]);
       enc.conjuncts.push_back(
           mgr.apply_not(mgr.apply_xor(mgr.var(enc.nxt(r)), f)));
-      if (options.verbose) {
-        std::fprintf(stderr, "[symbolic] conjunct %d (%s): |f|=%llu live=%llu\n",
-                     r, enc.state_bit_name(r).c_str(),
-                     static_cast<unsigned long long>(mgr.dag_size(f)),
-                     static_cast<unsigned long long>(mgr.live_nodes()));
-      }
     }
 
     // Atom functions; must depend only on model state bits.
     std::vector<bdd::NodeId> atom_cur;
-    for (const std::string& name : obs.atoms) {
+    for (const std::string& name : obs->atoms()) {
       const bdd::NodeId a = translate(atom_bit_node(design, name));
       const std::vector<bool> sup = mgr.support(a);
       for (std::size_t v = 0; v < sup.size(); ++v) {
@@ -737,15 +711,15 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
     for (bdd::NodeId a : atom_cur) atom_next.push_back(mgr.rename(a, shift));
 
     // Observer state equality over current variables.
-    auto obs_eq_cur = [&](int s) {
+    auto obs_eq_cur = [&](std::uint32_t s) {
       bdd::NodeId acc = bdd::kTrue;
       for (int j = 0; j < enc.n_obs; ++j) {
         const int v = enc.cur(enc.n_model + j);
-        acc = mgr.apply_and(acc, ((s >> j) & 1) != 0 ? mgr.var(v) : mgr.nvar(v));
+        acc = mgr.apply_and(acc, ((s >> j) & 1u) != 0 ? mgr.var(v) : mgr.nvar(v));
       }
       return acc;
     };
-    auto valuation_formula = [&](unsigned m) {
+    auto valuation_formula = [&](std::uint32_t m) {
       bdd::NodeId acc = bdd::kTrue;
       for (std::size_t a = 0; a < atom_next.size(); ++a) {
         acc = mgr.apply_and(acc, ((m >> a) & 1u) != 0
@@ -758,10 +732,10 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
     // Observer next-state conjuncts: o'_j <-> g_j(o, atoms(s')).
     for (int j = 0; j < enc.n_obs; ++j) {
       bdd::NodeId g = bdd::kFalse;
-      for (int s = 0; s < obs.state_count; ++s) {
-        for (unsigned m = 0; m < letters; ++m) {
-          const int t = obs.step(s, m);
-          if (((t >> j) & 1) == 0) continue;
+      for (std::uint32_t s = 0; s < obs->state_count(); ++s) {
+        for (std::uint32_t m = 0; m < letters; ++m) {
+          const std::uint32_t t = obs->next(s, m);
+          if (((t >> j) & 1u) == 0) continue;
           g = mgr.apply_or(g,
                            mgr.apply_and(obs_eq_cur(s), valuation_formula(m)));
         }
@@ -781,11 +755,11 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
                           design.state_vars[static_cast<std::size_t>(k)])]
               .init;
     }
-    unsigned v0 = 0;
+    std::uint32_t v0 = 0;
     for (std::size_t a = 0; a < atom_cur.size(); ++a) {
       if (mgr.eval(atom_cur[a], init_assign)) v0 |= (1u << a);
     }
-    const int obs0 = obs.step(obs.init_state, v0);
+    const std::uint32_t obs0 = obs->next(psl::Dfa::kInitial, v0);
 
     bdd::NodeId init = bdd::kTrue;
     for (int i = 0; i < enc.n_model; ++i) {
@@ -798,12 +772,11 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
 
     // Bad: observer in a bad state.
     bdd::NodeId bad = bdd::kFalse;
-    for (int s = 0; s < obs.state_count; ++s) {
-      if (s < obs.state_count && obs.bad[static_cast<std::size_t>(s)]) {
-        bad = mgr.apply_or(bad, obs_eq_cur(s));
-      }
+    for (std::uint32_t s = 0; s < obs->state_count(); ++s) {
+      if (obs->failed(s)) bad = mgr.apply_or(bad, obs_eq_cur(s));
     }
     enc.bad = bad;
+    obs.reset();
 
     // Quantification mask (current state + inputs) and next->current rename.
     enc.quantify_mask.assign(static_cast<std::size_t>(mgr.var_count()), false);
@@ -894,8 +867,8 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
       // BDD than the exact-depth frontier ring (which encodes depth
       // correlations), and monotone growth converges in the same number of
       // iterations.
-      const bdd::NodeId img = image(enc, reached, options.partitioned,
-                                    gc_threshold, options.verbose);
+      const bdd::NodeId img =
+          image(enc, reached, options.partitioned, gc_threshold);
       const bdd::NodeId fresh = mgr.apply_and(img, mgr.apply_not(reached));
       if (fresh == bdd::kFalse) {
         result.outcome = SymbolicResult::Outcome::kHolds;
@@ -912,15 +885,6 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
       rings.push_back(fresh);
       ++result.iterations;
       if (mgr.live_nodes() > gc_threshold) mgr.collect_garbage();
-      if (options.verbose) {
-        std::fprintf(stderr,
-                     "[symbolic] iter %d: |frontier|=%llu |reached|=%llu "
-                     "live=%llu\n",
-                     result.iterations,
-                     static_cast<unsigned long long>(mgr.dag_size(frontier)),
-                     static_cast<unsigned long long>(mgr.dag_size(reached)),
-                     static_cast<unsigned long long>(mgr.live_nodes()));
-      }
     }
 
     const double free_vars =

@@ -1,8 +1,9 @@
 // Symbolic (RuleBase-style) model checking of PSL properties on the RTL.
 //
 // Pipeline (paper §5.2, Table 2):
-//   1. `build_observer` — the PSL property's monitor is determinized into a
-//      finite safety observer over its boolean atoms,
+//   1. `build_observer` — the property's psl::Dfa, completed over every
+//      valuation of its boolean atoms, is the finite safety observer (the
+//      same automaton ABV's kDfa monitors and the explicit checker step),
 //   2. the bit-blasted RTL (rtl::BitBlast) and the observer are encoded as
 //      BDDs over an interleaved current/next variable order,
 //   3. reachability by image computation — monolithic transition relation or
@@ -29,25 +30,11 @@
 
 namespace la1::mc {
 
-/// Deterministic safety observer compiled from a property monitor.
-struct Observer {
-  std::vector<std::string> atoms;     // signal names, letter = valuation
-  int state_count = 0;
-  int init_state = 0;
-  std::vector<bool> bad;              // per state
-  /// next[state * (1 << atoms.size()) + valuation] -> state
-  std::vector<int> next;
-
-  int step(int state, unsigned valuation) const {
-    return next[static_cast<std::size_t>(state) * (1u << atoms.size()) +
-                valuation];
-  }
-};
-
-/// Determinizes `prop`'s monitor by subset-style BFS over atom valuations.
-/// Throws std::invalid_argument if more than `max_states` observer states
-/// are reachable (not expected for the supported fragment).
-Observer build_observer(const psl::PropPtr& prop, int max_states = 1 << 12);
+/// The safety observer of `prop`: its complete monitor table
+/// (psl::determinize); a state is bad when its verdict is kFailed. Throws
+/// std::invalid_argument beyond psl::kMaxDfaAtoms atoms or
+/// psl::kMaxDfaStates states.
+psl::Dfa build_observer(const psl::PropPtr& prop);
 
 /// Static BDD variable order of the state bits.
 enum class VarOrder {
@@ -83,8 +70,6 @@ struct SymbolicOptions {
   /// observe (transitively). Exact for safety checking. Disable to model
   /// a checker that carries the whole design (the Table-2 configuration).
   bool cone_of_influence = true;
-  /// Prints per-iteration BDD sizes to stderr (debugging aid).
-  bool verbose = false;
   /// Statically lint the property against the blasted design before any
   /// BDD work; errors (missing signals, empty-language SEREs, nesting the
   /// monitor compiler rejects) throw std::invalid_argument with the

@@ -1,108 +1,131 @@
 #include "psl/dfa.hpp"
 
-#include <deque>
+#include <algorithm>
+#include <set>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace la1::psl {
 
 namespace {
 
-/// Env over a fixed valuation of an atom list.
-class LetterEnv : public Env {
+/// The caller's Env, restricted to the property's (sorted) atoms.
+class AtomGuard : public Env {
  public:
-  LetterEnv(const std::vector<std::string>& atoms, unsigned letter)
-      : atoms_(&atoms), letter_(letter) {}
-
+  AtomGuard(const std::vector<std::string>& atoms, const Env& env)
+      : atoms_(&atoms), env_(&env) {}
   bool sample(const std::string& signal) const override {
-    for (std::size_t i = 0; i < atoms_->size(); ++i) {
-      if ((*atoms_)[i] == signal) return ((letter_ >> i) & 1u) != 0;
+    if (!std::binary_search(atoms_->begin(), atoms_->end(), signal)) {
+      throw std::logic_error("monitor sampled '" + signal +
+                             "', which its property does not name");
     }
-    throw std::invalid_argument("determinize: unknown atom " + signal);
+    return env_->sample(signal);
   }
 
  private:
   const std::vector<std::string>* atoms_;
-  unsigned letter_;
+  const Env* env_;
 };
+
+/// An atom bitmask as an Env; only ever sampled through an AtomGuard.
+class LetterEnv : public Env {
+ public:
+  LetterEnv(const std::vector<std::string>& atoms, std::uint32_t letter)
+      : atoms_(&atoms), letter_(letter) {}
+  bool sample(const std::string& signal) const override {
+    const auto i =
+        std::lower_bound(atoms_->begin(), atoms_->end(), signal) -
+        atoms_->begin();
+    return ((letter_ >> i) & 1u) != 0;
+  }
+
+ private:
+  const std::vector<std::string>* atoms_;
+  std::uint32_t letter_;
+};
+
+void check_atoms(const Dfa& dfa) {
+  if (dfa.atoms().size() > kMaxDfaAtoms) {
+    throw std::invalid_argument("bitmask DFA: too many atoms (>" +
+                                std::to_string(kMaxDfaAtoms) + ")");
+  }
+}
 
 }  // namespace
 
-DfaTable determinize(const PropPtr& prop, int max_states) {
-  DfaTable table;
+Dfa::Dfa(const PropPtr& prop) {
   std::set<std::string> signals;
   collect_signals(*prop, signals);
-  table.atoms.assign(signals.begin(), signals.end());
-  if (table.atoms.size() > 16) {
-    throw std::invalid_argument("determinize: too many atoms (>16)");
-  }
-  const unsigned letters = 1u << table.atoms.size();
-
-  std::vector<std::unique_ptr<Monitor>> reps;
-  std::unordered_map<std::string, int> ids;
-
-  auto intern = [&](std::unique_ptr<Monitor> m) {
-    const std::string key = m->encode();
-    auto it = ids.find(key);
-    if (it != ids.end()) return std::pair<int, bool>{it->second, false};
-    const int id = static_cast<int>(reps.size());
-    if (id >= max_states) {
-      throw std::invalid_argument("determinize: state budget exceeded");
-    }
-    ids.emplace(key, id);
-    table.verdict.push_back(m->current());
-    table.end_verdict.push_back(m->at_end());
-    reps.push_back(std::move(m));
-    table.next.resize(static_cast<std::size_t>(id + 1) * letters, -1);
-    return std::pair<int, bool>{id, true};
-  };
-
-  const auto [init_id, init_new] = intern(compile(prop));
-  (void)init_new;
-  table.init_state = init_id;
-
-  std::deque<int> frontier{init_id};
-  while (!frontier.empty()) {
-    const int at = frontier.front();
-    frontier.pop_front();
-    for (unsigned letter = 0; letter < letters; ++letter) {
-      auto m = reps[static_cast<std::size_t>(at)]->clone();
-      m->step(LetterEnv(table.atoms, letter));
-      const auto [to, is_new] = intern(std::move(m));
-      table.next[static_cast<std::size_t>(at) * letters + letter] = to;
-      if (is_new) frontier.push_back(to);
-    }
-  }
-  table.state_count = static_cast<int>(reps.size());
-  return table;
+  atoms_.assign(signals.begin(), signals.end());
+  intern(compile(prop));
 }
 
-DfaMonitor::DfaMonitor(std::shared_ptr<const DfaTable> table)
-    : table_(std::move(table)) {
+std::uint32_t Dfa::miss(std::uint32_t state, std::uint32_t letter,
+                        const Env& env) {
+  std::unique_ptr<Monitor> monitor = reps_[state]->clone();
+  monitor->step(AtomGuard(atoms_, env));
+  const std::uint32_t to = intern(std::move(monitor));
+  std::vector<std::uint32_t>& row = next_[state];  // after intern grew next_
+  if (row.size() <= letter) row.resize(letter + std::size_t{1}, kUnknown);
+  row[letter] = to;
+  return to;
+}
+
+std::uint32_t Dfa::intern(std::unique_ptr<Monitor> monitor) {
+  const auto [it, inserted] =
+      ids_.try_emplace(monitor->encode(), state_count());
+  if (inserted) {
+    verdict_.push_back(monitor->current());
+    end_verdict_.push_back(monitor->at_end());
+    reps_.push_back(std::move(monitor));
+    next_.emplace_back();
+  }
+  return it->second;
+}
+
+Dfa determinize(const PropPtr& prop) {
+  Dfa dfa(prop);
+  check_atoms(dfa);
+  const std::uint32_t letters = 1u << dfa.atoms().size();
+  // States are numbered as they are first reached, so visiting them in
+  // number order is the breadth-first order.
+  for (std::uint32_t at = 0; at < dfa.state_count(); ++at) {
+    for (std::uint32_t letter = 0; letter < letters; ++letter) {
+      dfa.step(at, letter, LetterEnv(dfa.atoms(), letter));
+    }
+    if (dfa.state_count() > kMaxDfaStates) {
+      throw std::invalid_argument("determinize: state budget exceeded (>" +
+                                  std::to_string(kMaxDfaStates) + ")");
+    }
+  }
+  return dfa;
+}
+
+DfaMonitor::DfaMonitor(std::shared_ptr<Dfa> dfa) : dfa_(std::move(dfa)) {
   DfaMonitor::reset();
 }
 
 void DfaMonitor::reset() {
   cycle_ = 0;
   failure_cycle_ = ~std::uint64_t{0};
-  state_ = table_->init_state;
+  state_ = Dfa::kInitial;
 }
 
 void DfaMonitor::do_step(const Env& env) {
-  unsigned letter = 0;
-  for (std::size_t i = 0; i < table_->atoms.size(); ++i) {
-    if (env.sample(table_->atoms[i])) letter |= (1u << i);
+  const std::vector<std::string>& atoms = dfa_->atoms();
+  std::uint32_t letter = 0;
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    if (env.sample(atoms[i])) letter |= (1u << i);
   }
-  state_ = table_->step(state_, letter);
-  if (table_->verdict[state()] == Verdict::kFailed &&
-      failure_cycle_ == ~std::uint64_t{0}) {
+  state_ = dfa_->step(state_, letter, env);
+  if (dfa_->failed(state_) && failure_cycle_ == ~std::uint64_t{0}) {
     mark_failed();
   }
 }
 
 std::unique_ptr<Monitor> compile_dfa(const PropPtr& prop) {
-  return std::make_unique<DfaMonitor>(
-      std::make_shared<const DfaTable>(determinize(prop)));
+  auto dfa = std::make_shared<Dfa>(prop);
+  check_atoms(*dfa);
+  return std::make_unique<DfaMonitor>(std::move(dfa));
 }
 
-}  // namespace psl
+}  // namespace la1::psl

@@ -103,12 +103,12 @@ TEST(Integration, ObserverAgreesWithMonitorOnTraces) {
   // The symbolic checker's determinized observer and the runtime monitor
   // must classify the same traces identically.
   const auto prop = psl::parse_property("always (a -> next[2] b)");
-  const mc::Observer obs = mc::build_observer(prop);
+  const psl::Dfa obs = mc::build_observer(prop);
   util::Rng rng(77);
   for (int round = 0; round < 50; ++round) {
     auto monitor = psl::compile(prop);
     monitor->reset();
-    int state = obs.init_state;
+    std::uint32_t state = psl::Dfa::kInitial;
     bool observer_failed = false;
     for (int t = 0; t < 12; ++t) {
       const bool a = rng.next_bool();
@@ -117,12 +117,12 @@ TEST(Integration, ObserverAgreesWithMonitorOnTraces) {
       env.set("a", a);
       env.set("b", b);
       monitor->step(env);
-      unsigned letter = 0;
-      for (std::size_t i = 0; i < obs.atoms.size(); ++i) {
-        if (env.sample(obs.atoms[i])) letter |= (1u << i);
+      std::uint32_t letter = 0;
+      for (std::size_t i = 0; i < obs.atoms().size(); ++i) {
+        if (env.sample(obs.atoms()[i])) letter |= (1u << i);
       }
-      state = obs.step(state, letter);
-      observer_failed = obs.bad[static_cast<std::size_t>(state)];
+      state = obs.next(state, letter);
+      observer_failed = obs.failed(state);
       EXPECT_EQ(observer_failed,
                 monitor->current() == psl::Verdict::kFailed)
           << "round " << round << " t " << t;

@@ -33,24 +33,24 @@ Module saturating_counter(int width, std::uint64_t top) {
 }
 
 TEST(Observer, AlwaysBooleanObserver) {
-  const Observer obs = build_observer(psl::parse_property("always (a)"));
-  ASSERT_EQ(obs.atoms.size(), 1u);
-  EXPECT_EQ(obs.atoms[0], "a");
+  const psl::Dfa obs = build_observer(psl::parse_property("always (a)"));
+  ASSERT_EQ(obs.atoms().size(), 1u);
+  EXPECT_EQ(obs.atoms()[0], "a");
   // a=1 keeps the good state; a=0 moves to an absorbing bad state.
-  int s = obs.init_state;
-  s = obs.step(s, 1u);
-  EXPECT_FALSE(obs.bad[static_cast<std::size_t>(s)]);
-  s = obs.step(s, 0u);
-  EXPECT_TRUE(obs.bad[static_cast<std::size_t>(s)]);
-  s = obs.step(s, 1u);
-  EXPECT_TRUE(obs.bad[static_cast<std::size_t>(s)]) << "bad must absorb";
+  std::uint32_t s = psl::Dfa::kInitial;
+  s = obs.next(s, 1u);
+  EXPECT_FALSE(obs.failed(s));
+  s = obs.next(s, 0u);
+  EXPECT_TRUE(obs.failed(s));
+  s = obs.next(s, 1u);
+  EXPECT_TRUE(obs.failed(s)) << "bad must absorb";
 }
 
 TEST(Observer, LatencyObserverCountsCycles) {
-  const Observer obs =
+  const psl::Dfa obs =
       build_observer(psl::parse_property("always (a -> next[2] b)"));
-  EXPECT_EQ(obs.atoms.size(), 2u);
-  EXPECT_GE(obs.state_count, 3);
+  EXPECT_EQ(obs.atoms().size(), 2u);
+  EXPECT_GE(obs.state_count(), 3u);
 }
 
 TEST(Symbolic, InvariantHolds) {

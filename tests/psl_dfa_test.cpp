@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "proptest.hpp"
 #include "psl/dfa.hpp"
 #include "psl/parse.hpp"
 #include "util/rng.hpp"
@@ -21,19 +24,44 @@ class PairEnv : public Env {
 };
 
 TEST(Dfa, TableShape) {
-  const DfaTable t = determinize(parse_property("always (a)"));
-  EXPECT_EQ(t.atoms.size(), 1u);
-  EXPECT_GE(t.state_count, 2);
-  EXPECT_EQ(t.next.size(),
-            static_cast<std::size_t>(t.state_count) * 2u);
-  EXPECT_EQ(t.verdict.size(), static_cast<std::size_t>(t.state_count));
+  const Dfa t = determinize(parse_property("always (a)"));
+  EXPECT_EQ(t.atoms().size(), 1u);
+  EXPECT_GE(t.state_count(), 2u);
+  // Complete over both letters, and nothing beyond them.
+  for (std::uint32_t s = 0; s < t.state_count(); ++s) {
+    for (std::uint32_t letter = 0; letter < 2; ++letter) {
+      EXPECT_LT(t.next(s, letter), t.state_count());
+    }
+    EXPECT_EQ(t.next(s, 2), Dfa::kUnknown);
+  }
 }
 
 TEST(Dfa, TooManyAtomsRejected) {
   std::string text = "always (s0";
   for (int i = 1; i < 18; ++i) text += " && s" + std::to_string(i);
   text += ")";
-  EXPECT_THROW(determinize(parse_property(text)), std::invalid_argument);
+  const PropPtr prop = parse_property(text);
+  EXPECT_THROW(determinize(prop), std::invalid_argument);
+  EXPECT_THROW(compile_dfa(prop), std::invalid_argument);
+  // The lazy automaton itself has no atom limit.
+  EXPECT_EQ(Dfa(prop).atoms().size(), 18u);
+}
+
+TEST(Dfa, LazyTableFillsOnlyWhatIsStepped) {
+  Dfa dfa(parse_property("always (a -> next[1] b)"));
+  EXPECT_EQ(dfa.state_count(), 1u);
+  EXPECT_EQ(dfa.next(Dfa::kInitial, 1), Dfa::kUnknown);
+  const std::uint32_t s = dfa.step(Dfa::kInitial, 1, PairEnv(true, false));
+  EXPECT_EQ(dfa.next(Dfa::kInitial, 1), s);
+  EXPECT_EQ(dfa.next(Dfa::kInitial, 0), Dfa::kUnknown);
+  // A hit does not sample the Env again.
+  class NoEnv : public Env {
+   public:
+    bool sample(const std::string&) const override {
+      throw std::logic_error("sampled on a hit");
+    }
+  };
+  EXPECT_EQ(dfa.step(Dfa::kInitial, 1, NoEnv()), s);
 }
 
 /// Property sweep: the DFA monitor agrees with the NFA monitor on random
@@ -68,6 +96,152 @@ INSTANTIATE_TEST_SUITE_P(
                       "a until! b", "eventually! b", "a before b",
                       "never {a[*2]}", "always (a -> b)"));
 
+/// Random properties over atoms {a, b, c}, built from the AST
+/// constructors; `depth` bounds the nesting of every layer together.
+/// Argument evaluation order is unspecified, so which properties a seed
+/// draws depends on the compiler; a failure prints its property.
+class PropGen {
+ public:
+  explicit PropGen(util::Rng& rng) : rng_(&rng) {}
+
+  PropPtr prop(int depth) {
+    if (depth == 0) return p_bool(bexpr(0));
+    const int d = depth - 1;
+    switch (pick(12)) {
+      case 0: return p_bool(bexpr(d));
+      case 1: return p_always(prop(d));
+      case 2: return p_never(sere(d));
+      case 3:
+        return p_suffix_impl(sere(d), sere(d), coin(), coin());
+      case 4: return p_next(bexpr(d), count(0));
+      case 5: return p_until(bexpr(d), bexpr(d), coin());
+      case 6: return p_before(bexpr(d), bexpr(d), coin());
+      case 7: return p_eventually(bexpr(d));
+      case 8: return p_and({prop(d), prop(d)});
+      case 9: return p_impl_next(bexpr(d), count(0), bexpr(d));
+      case 10: return p_impl_now(bexpr(d), bexpr(d));
+      default:
+        return p_next_event(bexpr(d), bexpr(d), count(1), bexpr(d));
+    }
+  }
+
+ private:
+  SerePtr sere(int depth) {
+    if (depth == 0) return s_bool(bexpr(0));
+    const int d = depth - 1;
+    switch (pick(11)) {
+      case 0: return s_bool(bexpr(d));
+      case 1: return s_concat(sere(d), sere(d));
+      case 2: return s_fusion(sere(d), sere(d));
+      case 3: return s_or(sere(d), sere(d));
+      case 4: return s_and(sere(d), sere(d));
+      case 5: {
+        const int min = count(0);
+        return s_star(sere(d), min, coin() ? -1 : min + count(0));
+      }
+      case 6: return s_plus(sere(d));
+      case 7: return s_rep(bexpr(d), count(0));
+      case 8: return s_goto(bexpr(d), count(1));
+      case 9: return s_occurs(bexpr(d), count(1));
+      default: return s_skip(count(0));
+    }
+  }
+
+  BExprPtr bexpr(int depth) {
+    if (depth == 0 || coin()) {
+      switch (pick(8)) {
+        case 0: return b_true();
+        case 1: return b_false();
+        default: return b_sig(std::string(1, "abc"[pick(3)]));
+      }
+    }
+    const int d = depth - 1;
+    switch (pick(5)) {
+      case 0: return b_not(bexpr(d));
+      case 1: return b_and(bexpr(d), bexpr(d));
+      case 2: return b_or(bexpr(d), bexpr(d));
+      case 3: return b_implies(bexpr(d), bexpr(d));
+      default: return b_iff(bexpr(d), bexpr(d));
+    }
+  }
+
+  int pick(int n) { return static_cast<int>(rng_->below(static_cast<std::uint64_t>(n))); }
+  bool coin() { return rng_->next_bool(); }
+  int count(int min) { return min + pick(3); }
+
+  util::Rng* rng_;
+};
+
+class AbcEnv : public Env {
+ public:
+  explicit AbcEnv(unsigned bits) : bits_(bits) {}
+  bool sample(const std::string& s) const override {
+    return ((bits_ >> (s.at(0) - 'a')) & 1u) != 0;
+  }
+
+ private:
+  unsigned bits_;
+};
+
+/// The monitor oracle: the NFA monitor, the lazy DFA monitor and the
+/// complete table stepped by hand agree on current() and at_end() after
+/// every cycle of random traces, for random properties. Only properties
+/// outside the monitorable fragment (compile throws) are skipped.
+TEST(Dfa, RandomPropertyOracle) {
+  int accepted = 0;
+  int rejected = 0;
+  util::Rng traces(2718);
+  const auto agree = [&](const PropPtr& prop) {
+    std::unique_ptr<Monitor> nfa;
+    try {
+      nfa = compile(prop);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+      return true;
+    }
+    ++accepted;
+    auto lazy = compile_dfa(prop);
+    const Dfa table = determinize(prop);
+    for (int round = 0; round < 16; ++round) {
+      nfa->reset();
+      lazy->reset();
+      std::uint32_t state = Dfa::kInitial;
+      for (int t = 0; t < 16; ++t) {
+        const AbcEnv env(static_cast<unsigned>(traces.below(8)));
+        nfa->step(env);
+        lazy->step(env);
+        std::uint32_t letter = 0;
+        for (std::size_t i = 0; i < table.atoms().size(); ++i) {
+          if (env.sample(table.atoms()[i])) letter |= 1u << i;
+        }
+        state = table.next(state, letter);
+        const Verdict want = nfa->current();
+        const Verdict want_end = nfa->at_end();
+        if (lazy->current() != want || table.verdict(state) != want ||
+            lazy->at_end() != want_end ||
+            table.end_verdict(state) != want_end) {
+          ADD_FAILURE() << to_string(*prop) << ": round " << round << " t "
+                        << t << " nfa " << to_string(want) << "/"
+                        << to_string(want_end) << " lazy "
+                        << to_string(lazy->current()) << "/"
+                        << to_string(lazy->at_end()) << " table "
+                        << to_string(table.verdict(state)) << "/"
+                        << to_string(table.end_verdict(state));
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  const auto result = proptest::check<PropPtr>(
+      /*seed=*/1729, /*cases=*/300,
+      [](util::Rng& rng) { return PropGen(rng).prop(3); }, agree);
+  EXPECT_TRUE(result.ok) << "first failing case " << result.failing_case;
+  EXPECT_GE(accepted, 200) << rejected << " properties rejected";
+  std::printf("oracle: %d properties checked, %d rejected by compile\n",
+              accepted, rejected);
+}
+
 TEST(Dfa, CloneAndEncode) {
   auto m = compile_dfa(parse_property("always (a -> next[1] b)"));
   m->reset();
@@ -79,6 +253,29 @@ TEST(Dfa, CloneAndEncode) {
   EXPECT_EQ(m->current(), Verdict::kFailed);
   EXPECT_EQ(copy->current(), Verdict::kHolds);
   EXPECT_EQ(m->failure_cycle(), 1u);
+}
+
+TEST(Dfa, ClonesShareTheTableNotTheState) {
+  // A clone stepped along another trace grows the shared table; the
+  // original must read exactly what a monitor with a table of its own
+  // reads.
+  const PropPtr prop = parse_property("always ({a ; b} |-> {true ; a})");
+  auto original = compile_dfa(prop);
+  auto alone = compile_dfa(prop);
+  auto clone = original->clone();
+  util::Rng rng(9);
+  for (int t = 0; t < 40; ++t) {
+    const bool a = rng.next_bool();
+    const bool b = rng.next_bool();
+    clone->step(PairEnv(rng.next_bool(), rng.next_bool()));
+    original->step(PairEnv(a, b));
+    alone->step(PairEnv(a, b));
+    ASSERT_EQ(original->current(), alone->current()) << "t " << t;
+    ASSERT_EQ(original->at_end(), alone->at_end()) << "t " << t;
+    ASSERT_EQ(original->failure_cycle(), alone->failure_cycle()) << "t " << t;
+    if (t == 20) clone = original->clone();
+  }
+  EXPECT_EQ(original->current(), Verdict::kFailed);
 }
 
 TEST(NextEvent, HoldsAtNthOccurrence) {

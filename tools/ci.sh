@@ -487,8 +487,17 @@ gate_done "Table 2 count gate passed (1-bank peak BDD nodes and iterations)"
   --json "$smoke_dir/plan.json" > /dev/null
 "$build_dir/examples/nway_lockstep" --banks-list 1,2 --transactions 200 \
   --json "$smoke_dir/nway.json" > /dev/null
+# The NFA and DFA monitor rows replay one trace, so they must agree.
+"$build_dir/bench/bench_ablation_monitor" --ticks 4000 \
+  --json "$smoke_dir/monitor.json" > /dev/null
+verdicts=$(sed -n 's/.*"verdict": "\([A-Z]*\)".*/\1/p' "$smoke_dir/monitor.json")
+if [ "$(echo "$verdicts" | wc -l)" -ne 2 ] ||
+   [ "$(echo "$verdicts" | sort -u | wc -l)" -ne 1 ]; then
+  echo "ci: monitor ablation NFA and DFA verdicts differ:" $verdicts >&2
+  exit 1
+fi
 
-for f in table1 table2 BENCH_table2_invariants table3 coi plan nway; do
+for f in table1 table2 BENCH_table2_invariants table3 coi plan nway monitor; do
   # Minimal validity check without external tools: the canonical report
   # shape starts with {"bench": and names its metrics array.
   grep -q '"bench"' "$smoke_dir/$f.json"
